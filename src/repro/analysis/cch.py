@@ -20,14 +20,17 @@ moment it is introduced, not when a cache hit goes wrong:
     The key payload drifted from the contract: ``mapping_cache_key``
     lost a payload parameter a role points at, or its kwarg exclusion
     set no longer equals the documented
-    :data:`DOCUMENTED_KWARG_EXCLUSIONS` (``{"engine"}``).
+    :data:`DOCUMENTED_KWARG_EXCLUSIONS` (empty: every mapper kwarg is
+    content).
 
 ``CCH003``
-    The documented ``engine`` exclusion is *behavioural*: naive and
-    vectorised placement must be bit-identical, otherwise dropping
-    ``engine`` from the key serves wrong permutations.  The probe runs
-    every fine-tuned heuristic on a small cluster through both engines
-    and compares the permutations element-wise.
+    The key names the topology, not the placement executor that ran:
+    the distance backend picks :class:`~repro.mapping.base.
+    HierarchicalFreePool` or the :class:`~repro.mapping.base.CorePool`
+    oracle, and a cached mapping is only sound while the two agree.  The
+    probe runs every fine-tuned heuristic on a small cluster through both
+    (implicit vs. dense backend) and compares the permutations
+    element-wise: the vectorised pool must match the ``CorePool`` oracle.
 
 ``CCH004``
     Disk-tier hygiene: every ``<key>.json`` in a cache directory must
@@ -87,8 +90,9 @@ REORDER_PARAM_ROLES: Dict[str, Optional[str]] = {
     "mapper_kwargs": "kwargs",
 }
 
-#: Mapper kwargs deliberately dropped from the key (bit-identical by contract).
-DOCUMENTED_KWARG_EXCLUSIONS = frozenset({"engine"})
+#: Mapper kwargs deliberately dropped from the key (each one needs a
+#: bit-identity proof); none today.
+DOCUMENTED_KWARG_EXCLUSIONS = frozenset()
 
 #: Schedule/Stage dataclass fields that legitimately stay out of the
 #: pricing fingerprint.
@@ -133,7 +137,7 @@ def _extract_string_exclusions(func: Callable) -> Optional[frozenset]:
 
     Reads the function's AST and collects every string that appears on
     the right of a ``!=`` / ``not in`` test — the idiom
-    ``if k != "engine"`` (or ``k not in {...}``) used to drop kwargs
+    ``if k != "name"`` (or ``k not in {...}``) used to drop kwargs
     from the payload.  Returns ``None`` when the source is unavailable.
     """
     try:
@@ -229,55 +233,40 @@ def check_reorder_key_coverage(
 
 
 # ----------------------------------------------------------------------
-# CCH003 — the engine exclusion is only legal while engines agree
+# CCH003 — the vectorised pool must match the CorePool oracle
 # ----------------------------------------------------------------------
 def probe_engine_identity(n_nodes: int = 2, seed: int = 0) -> DiagnosticReport:
-    """Run every heuristic through all placement engines and compare.
+    """Run every heuristic on the dense and the implicit backend and compare.
 
-    The 'engine' mapper kwarg is excluded from the mapping-cache key on
-    the strength of a bit-identity proof; this probe exercises every
-    engine pair that exclusion covers — naive vs. vectorized, and jit
-    vs. naive (the jit tier replays the same tie-break draws through its
-    compiled PCG64 replica, so even its rng stream must agree).
+    The dense matrix runs the :class:`~repro.mapping.base.CorePool`
+    oracle, the implicit backend the vectorised
+    :class:`~repro.mapping.base.HierarchicalFreePool`; the mapping-cache
+    key records neither, so the two must be bit-identical.
     """
     from repro.mapping.initial import make_layout
     from repro.mapping.reorder import HEURISTICS, reorder_ranks
     from repro.topology.gpc import gpc_cluster
 
-    report = DiagnosticReport(subject="engine bit-identity probe")
+    report = DiagnosticReport(subject="placement bit-identity probe")
     cluster = gpc_cluster(n_nodes=n_nodes)
     p = cluster.n_cores
     dense = cluster.distance_matrix()
     implicit = cluster.implicit_distances()
     layout = make_layout("cyclic-bunch", cluster, p)
     for pattern in sorted(HEURISTICS):
-        naive = reorder_ranks(
-            pattern, layout, dense, kind="heuristic", rng=seed, cache="off",
-            engine="naive",
+        oracle = reorder_ranks(
+            pattern, layout, dense, kind="heuristic", rng=seed, cache="off"
         )
         vectorized = reorder_ranks(
-            pattern, layout, implicit, kind="heuristic", rng=seed, cache="off",
-            engine="vectorized",
+            pattern, layout, implicit, kind="heuristic", rng=seed, cache="off"
         )
-        jit = reorder_ranks(
-            pattern, layout, implicit, kind="heuristic", rng=seed, cache="off",
-            engine="jit",
-        )
-        if not np.array_equal(naive.mapping, vectorized.mapping):
-            diff = int(np.count_nonzero(naive.mapping != vectorized.mapping))
+        if not np.array_equal(oracle.mapping, vectorized.mapping):
+            diff = int(np.count_nonzero(oracle.mapping != vectorized.mapping))
             report.add(
                 "CCH003",
-                f"pattern {pattern!r}: naive and vectorised placements differ "
-                f"at {diff}/{p} ranks — the documented 'engine' cache-key "
-                "exclusion is unsound until the engines are bit-identical again",
-            )
-        if not np.array_equal(naive.mapping, jit.mapping):
-            diff = int(np.count_nonzero(naive.mapping != jit.mapping))
-            report.add(
-                "CCH003",
-                f"pattern {pattern!r}: naive and jit placements differ at "
-                f"{diff}/{p} ranks — the documented 'engine' cache-key "
-                "exclusion is unsound until the engines are bit-identical again",
+                f"pattern {pattern!r}: the vectorised pool differs from the "
+                f"CorePool oracle at {diff}/{p} ranks — cached mappings are "
+                "unsound until the two are bit-identical again",
             )
     return report
 

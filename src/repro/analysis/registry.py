@@ -102,7 +102,7 @@ _RULE_TABLE = [
     # --- cache-key soundness ----------------------------------------------
     ("CCH001", "result-influencing parameter omitted from the cache-key payload"),
     ("CCH002", "cache-key payload field or kwarg exclusion drifted from the contract"),
-    ("CCH003", "documented 'engine' exclusion violated: engines not bit-identical"),
+    ("CCH003", "vectorised pool does not match the CorePool oracle"),
     ("CCH004", "disk-tier cache entry malformed, torn, or collision-prone"),
     ("CCH005", "pricing-cache fingerprint misses a schedule/stage field"),
     # --- fault-plan verifier ----------------------------------------------

@@ -53,15 +53,15 @@ DEFAULT_BENCH_PATH = "BENCH_sweep.json"
 DEFAULT_MAPPING_BENCH_PATH = "BENCH_mappings.json"
 
 #: Communicator sizes for the mapping-construction benchmark.  GPC is
-#: 4096 cores; the 8192/16384 rows stress the compiled tier past the
-#: paper's machine size.
+#: 4096 cores; the 8192/16384 rows stress the vectorised driver past
+#: the paper's machine size.
 MAPPING_P_VALUES = (256, 1024, 4096, 8192, 16384)
 
-#: Above this communicator size the per-query naive engine (and its
+#: Above this communicator size the per-query CorePool oracle (and its
 #: dense O(n_cores^2) distance matrix) is skipped: naive at p=16384
 #: would take minutes and allocate a multi-GiB matrix.  Rows above the
-#: cutoff record ``naive_seconds: null`` and report the jit tier's
-#: speedup over the vectorized tier instead.
+#: cutoff record ``naive_seconds``, ``speedup`` and ``mismatches`` as
+#: null.
 DEFAULT_NAIVE_MAX_P = 4096
 
 #: Reduced grid for the CI smoke mode (still crosses the rd/ring
@@ -238,41 +238,34 @@ def _max_rel_diff(a: List[SweepPoint], b: List[SweepPoint]) -> float:
 
 @dataclass
 class MappingPerfCase:
-    """Placement-engine comparison at one communicator size.
+    """Placement-executor comparison at one communicator size.
 
-    ``naive_seconds`` / ``vectorized_seconds`` / ``jit_seconds`` time the
-    *whole* construction path a runtime would pay at startup: distance
+    ``naive_seconds`` / ``vectorized_seconds`` time the *whole*
+    construction path a runtime would pay at startup: distance
     preparation (dense matrix vs. implicit backend) plus one mapping per
     registered heuristic.  ``*_map_seconds`` isolate the per-heuristic
     mapping time against a warm distance backend.  All numbers are
     minima over the run's repeats (the machines this runs on are noisy).
 
-    Above the naive cutoff (:data:`DEFAULT_NAIVE_MAX_P`) the naive
-    engine is skipped: ``naive_seconds`` / ``naive_map_seconds`` are
-    ``None`` and ``speedup`` (see ``speedup_baseline``) compares the jit
-    tier against the vectorized tier instead.  ``jit_speedup`` always
-    holds vectorized/jit; ``jit_kernel`` records whether the compiled
-    numba kernel ran or the engine fell back to the vectorized loop.
+    Above the naive cutoff (:data:`DEFAULT_NAIVE_MAX_P`) the
+    :class:`~repro.mapping.base.CorePool` oracle is skipped, so nothing
+    is compared: ``naive_seconds``, ``naive_map_seconds``, ``speedup``
+    and ``mismatches`` are all ``None``.
     """
 
     p: int
     n_nodes: int
     naive_seconds: Optional[float]
     vectorized_seconds: float
-    jit_seconds: float
-    speedup: float
-    speedup_baseline: str            # "naive" or "vectorized"
-    jit_speedup: float               # vectorized_seconds / jit_seconds
-    jit_kernel: str                  # "numba" or "vectorized-fallback"
+    speedup: Optional[float]         # naive_seconds / vectorized_seconds
     naive_map_seconds: Optional[dict]
     vectorized_map_seconds: dict
-    jit_map_seconds: dict
-    mismatches: int
+    mismatches: Optional[int]
 
 
 @dataclass
 class MappingPerfReport:
-    """Outcome of one placement-engine benchmark run."""
+    """Outcome of one placement-executor benchmark run."""
 
     cases: List[MappingPerfCase]
     layout: str
@@ -289,24 +282,19 @@ class MappingPerfReport:
             f"mapping construction, layout={self.layout!r}, "
             f"{len(self.heuristics)} heuristics, best of {self.repeats}, "
             f"naive cutoff p<={self.naive_max_p}:",
-            f"  {'p':>6} {'naive':>10} {'vectorized':>11} {'jit':>10} "
-            f"{'speedup':>8} {'jit/vect':>8}  mismatches",
+            f"  {'p':>6} {'naive':>10} {'vectorized':>11} {'speedup':>8}  mismatches",
         ]
         for c in self.cases:
-            naive = (
-                f"{c.naive_seconds * 1e3:>8.1f}ms"
-                if c.naive_seconds is not None
-                else f"{'-':>10}"
-            )
+            if c.naive_seconds is None:
+                naive, speedup, mismatches = f"{'-':>10}", f"{'-':>8}", "-"
+            else:
+                naive = f"{c.naive_seconds * 1e3:>8.1f}ms"
+                speedup = f"{c.speedup:>7.2f}x"
+                mismatches = str(c.mismatches)
             lines.append(
-                f"  {c.p:>6} {naive} "
-                f"{c.vectorized_seconds * 1e3:>9.1f}ms "
-                f"{c.jit_seconds * 1e3:>8.1f}ms "
-                f"{c.speedup:>7.2f}x {c.jit_speedup:>7.2f}x  "
-                f"{c.mismatches}"
+                f"  {c.p:>6} {naive} {c.vectorized_seconds * 1e3:>9.1f}ms "
+                f"{speedup}  {mismatches}"
             )
-        kernels = {c.jit_kernel for c in self.cases}
-        lines.append(f"  jit kernel: {', '.join(sorted(kernels))}")
         return "\n".join(lines)
 
     def write(self, path: Union[str, Path]) -> Path:
@@ -323,102 +311,73 @@ def _mapping_case(
     repeats: int,
     naive_max_p: int = DEFAULT_NAIVE_MAX_P,
 ) -> MappingPerfCase:
-    """Benchmark one communicator size through the placement engines."""
-    from repro.util.jit import HAS_NUMBA
-
+    """Benchmark one communicator size through both placement executors."""
     n_nodes = max(1, -(-p // 8))  # gpc: 8 cores per node
     cluster = gpc_cluster(n_nodes=n_nodes)
     L = make_layout(layout, cluster, p)
     with_naive = p <= naive_max_p
-    mappers = {
-        name: (
-            HEURISTICS[name](engine="naive") if with_naive else None,
-            HEURISTICS[name](engine="vectorized"),
-            HEURISTICS[name](engine="jit"),
-        )
-        for name in patterns
-    }
+    # The backend picks the executor: the dense matrix runs the CorePool
+    # oracle, the implicit backend the vectorised HierarchicalFreePool.
+    mappers = {name: HEURISTICS[name]() for name in patterns}
 
-    # Placement identity first: every engine pair must agree bit-for-bit.
-    # Below the cutoff: naive-vs-vectorized and jit-vs-naive; above it
-    # the dense matrix is unaffordable, so jit-vs-vectorized.
+    # Placement identity first: the two executors must agree bit-for-bit.
+    # Above the cutoff the dense matrix is unaffordable and nothing is
+    # compared.
     impl = cluster.implicit_distances()
     D = cluster.distance_matrix() if with_naive else None
-    mismatches = 0
-    for i, (naive, vect, jit) in enumerate(mappers.values()):
-        seed = 1000 + i
-        Mv = vect.map(L, impl, rng=seed)
-        Mj = jit.map(L, impl, rng=seed)
-        mismatches += int(np.count_nonzero(Mv != Mj))
-        if naive is not None:
-            mismatches += int(np.count_nonzero(naive.map(L, D, rng=seed) != Mv))
+    mismatches: Optional[int] = 0 if with_naive else None
+    if with_naive:
+        for i, m in enumerate(mappers.values()):
+            seed = 1000 + i
+            oracle = m.map(L, D, rng=seed)
+            mismatches += int(np.count_nonzero(oracle != m.map(L, impl, rng=seed)))
 
     # Construction timings include distance preparation on a *fresh*
-    # cluster: the dense matrix is the naive path's startup cost, the
-    # implicit backend's coordinate tables the other engines'.
+    # cluster: the dense matrix is the oracle's startup cost, the
+    # implicit backend's coordinate tables the vectorised driver's.
     naive_total: Optional[float] = float("inf") if with_naive else None
-    vect_total = jit_total = float("inf")
+    vect_total = float("inf")
     for r in range(repeats):
         if with_naive:
             fresh = gpc_cluster(n_nodes=n_nodes)
             t0 = time.perf_counter()
             Dr = fresh.distance_matrix()
-            for i, (naive, _, _) in enumerate(mappers.values()):
-                naive.map(L, Dr, rng=r * 10 + i)
+            for i, m in enumerate(mappers.values()):
+                m.map(L, Dr, rng=r * 10 + i)
             naive_total = min(naive_total, time.perf_counter() - t0)
 
         fresh = gpc_cluster(n_nodes=n_nodes)
         t0 = time.perf_counter()
         ir = fresh.implicit_distances()
-        for i, (_, vect, _) in enumerate(mappers.values()):
-            vect.map(L, ir, rng=r * 10 + i)
+        for i, m in enumerate(mappers.values()):
+            m.map(L, ir, rng=r * 10 + i)
         vect_total = min(vect_total, time.perf_counter() - t0)
-
-        fresh = gpc_cluster(n_nodes=n_nodes)
-        t0 = time.perf_counter()
-        ir = fresh.implicit_distances()
-        for i, (_, _, jit) in enumerate(mappers.values()):
-            jit.map(L, ir, rng=r * 10 + i)
-        jit_total = min(jit_total, time.perf_counter() - t0)
 
     # Per-heuristic mapping time against warm backends.
     naive_map: Optional[dict] = {n: float("inf") for n in mappers} if with_naive else None
     vect_map = {name: float("inf") for name in mappers}
-    jit_map = {name: float("inf") for name in mappers}
     for r in range(repeats):
-        for i, (name, (naive, vect, jit)) in enumerate(mappers.items()):
+        for i, (name, m) in enumerate(mappers.items()):
             seed = r * 10 + i
-            if naive is not None:
+            if with_naive:
                 t0 = time.perf_counter()
-                naive.map(L, D, rng=seed)
+                m.map(L, D, rng=seed)
                 naive_map[name] = min(naive_map[name], time.perf_counter() - t0)
             t0 = time.perf_counter()
-            vect.map(L, impl, rng=seed)
+            m.map(L, impl, rng=seed)
             vect_map[name] = min(vect_map[name], time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            jit.map(L, impl, rng=seed)
-            jit_map[name] = min(jit_map[name], time.perf_counter() - t0)
 
-    jit_speedup = vect_total / jit_total if jit_total > 0 else float("inf")
+    speedup: Optional[float] = None
     if with_naive:
         speedup = naive_total / vect_total if vect_total > 0 else float("inf")
-        baseline = "naive"
-    else:
-        speedup = jit_speedup
-        baseline = "vectorized"
     return MappingPerfCase(
         p=p,
         n_nodes=n_nodes,
         naive_seconds=naive_total,
         vectorized_seconds=vect_total,
-        jit_seconds=jit_total,
         speedup=speedup,
-        speedup_baseline=baseline,
-        jit_speedup=jit_speedup,
-        jit_kernel="numba" if HAS_NUMBA else "vectorized-fallback",
         naive_map_seconds=naive_map,
         vectorized_map_seconds=vect_map,
-        jit_map_seconds=jit_map,
         mismatches=mismatches,
     )
 
@@ -432,20 +391,18 @@ def run_mapping_perf(
     naive_max_p: int = DEFAULT_NAIVE_MAX_P,
     out_path: Optional[Union[str, Path]] = DEFAULT_MAPPING_BENCH_PATH,
 ) -> MappingPerfReport:
-    """Time the placement engines against each other and persist the result.
+    """Time the placement executors against each other and persist the result.
 
-    For each ``p`` the same five heuristics run through the placement
-    tiers — the per-query :class:`~repro.mapping.base.CorePool`
-    reference, :meth:`HierarchicalFreePool.execute_program
-    <repro.mapping.base.HierarchicalFreePool.execute_program>` and the
-    compiled :class:`~repro.mapping.jitkernel.JitFreePool` — against
-    their natural distance backends (dense matrix vs. implicit).  The
+    For each ``p`` the same five heuristics run on both distance
+    backends, and so through both executors — the dense matrix through
+    the per-query :class:`~repro.mapping.base.CorePool` oracle, the
+    implicit backend through :meth:`HierarchicalFreePool.execute_program
+    <repro.mapping.base.HierarchicalFreePool.execute_program>`.  The
     construction timing includes distance preparation, since avoiding
     the dense :math:`O(n_{cores}^2)` matrix is the implicit backend's
-    point.  Placements must be bit-identical across engines
-    (``mismatches`` is asserted zero by the tier-1 tests); the naive
-    engine only runs for ``p <= naive_max_p``; ``quick=True`` shrinks to
-    p=256 for CI.
+    point.  Placements must be bit-identical (``mismatches`` is asserted
+    zero by the tier-1 tests); the oracle only runs for
+    ``p <= naive_max_p``; ``quick=True`` shrinks to p=256 for CI.
     """
     if quick:
         p_values = [256]

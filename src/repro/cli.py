@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_perf.add_argument(
         "--mappings", action="store_true",
-        help="benchmark the placement engines (naive/vectorized/jit) instead of the sweep",
+        help="benchmark the placement executors (naive/vectorized) instead of the sweep",
     )
     p_perf.add_argument(
         "-p", "--p-values", dest="p_values", type=int, nargs="+", default=None,
@@ -231,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_perf.add_argument(
         "--naive-max-p", dest="naive_max_p", type=int, default=4096,
-        help="largest p at which --mappings still times the naive engine "
-        "(above it naive_seconds is null and speedup compares jit vs vectorized)",
+        help="largest p at which --mappings still runs the naive CorePool oracle "
+        "(above it naive_seconds, speedup and mismatches are null)",
     )
     p_perf.add_argument(
         "--profile", action="store_true",
@@ -733,16 +733,10 @@ def _cmd_perf(args) -> int:
         print(report.summary())
         print(f"measurement written to {out}")
         bad = [c for c in report.cases if c.mismatches]
-        # min-speedup gates the naive-baseline rows; rows past the naive
-        # cutoff instead require the jit tier to stay within 10% of the
-        # vectorized tier (it beats it outright when numba is present).
+        # Rows past the naive cutoff ran no oracle (speedup is None).
         slow = [
             c for c in report.cases
-            if c.speedup_baseline == "naive" and c.speedup < args.min_speedup
-        ]
-        lagging = [
-            c for c in report.cases
-            if c.speedup_baseline == "vectorized" and c.speedup < 0.9
+            if c.speedup is not None and c.speedup < args.min_speedup
         ]
         if bad:
             print(f"FAIL: placement mismatch at p={[c.p for c in bad]}")
@@ -751,12 +745,6 @@ def _cmd_perf(args) -> int:
             print(
                 f"FAIL: speedup below required {args.min_speedup:.2f}x "
                 f"at p={[c.p for c in slow]}"
-            )
-            return 1
-        if lagging:
-            print(
-                "FAIL: jit tier more than 10% behind vectorized "
-                f"at p={[c.p for c in lagging]}"
             )
             return 1
         return 0

@@ -8,7 +8,6 @@ quality metrics and the :func:`reorder_ranks` entry point.
 
 from repro.mapping.analysis import StageLocality, locality_table, stage_locality
 from repro.mapping.base import (
-    PLACEMENT_ENGINES,
     CorePool,
     GreedyPlacementMapper,
     HierarchicalFreePool,
@@ -17,7 +16,6 @@ from repro.mapping.base import (
     as_distance_lookup,
     map_batch,
 )
-from repro.mapping.jitkernel import JitFreePool
 from repro.mapping.cache import (
     MAPPING_CACHE_ENV,
     MappingCache,
@@ -63,12 +61,10 @@ __all__ = [
     "locality_table",
     "CorePool",
     "HierarchicalFreePool",
-    "JitFreePool",
     "map_batch",
     "PoolExhaustedError",
     "Mapper",
     "GreedyPlacementMapper",
-    "PLACEMENT_ENGINES",
     "as_distance_lookup",
     "MAPPING_CACHE_ENV",
     "MappingCache",

@@ -12,10 +12,13 @@ closest to a reference core*.  Two layers fall out of that observation:
 
 Two pool implementations serve the ``find_closest_to`` step, both
 including the paper's random tie-breaking with identical rng-stream
-consumption, so their placements are bit-identical:
+consumption, so their placements are bit-identical.  The distance
+backend alone picks which one runs:
 
 * :class:`CorePool` — the reference executor: masked argmin over
-  pool-local distance rows (dense matrix or on-demand implicit rows);
+  pool-local distance rows.  It serves dense matrices and implicit
+  backends whose distance ladder has collapsed levels, and it is the
+  oracle the vectorised driver is tested against;
 * :class:`HierarchicalFreePool` — the vectorised driver: when distances
   come from an :class:`~repro.topology.implicit.ImplicitDistances`
   backend with a strict ladder, the closest free core is found from
@@ -42,17 +45,9 @@ __all__ = [
     "HierarchicalFreePool",
     "Mapper",
     "GreedyPlacementMapper",
-    "PLACEMENT_ENGINES",
     "as_distance_lookup",
     "map_batch",
 ]
-
-#: Executor choices for the program-based heuristics.  ``"auto"`` picks
-#: the best supported driver for the backend: the compiled jit tier
-#: (which itself degrades to the vectorised loop when numba is absent)
-#: whenever the backend supports vectorised placement, else the naive
-#: reference.  All engines are bit-identical, including the rng stream.
-PLACEMENT_ENGINES = ("auto", "naive", "vectorized", "jit")
 
 
 class PoolExhaustedError(RuntimeError):
@@ -229,7 +224,6 @@ class _PoolStructure:
         "line_sizes",
         "all_positions",
         "np_members",
-        "jit_arrays",
     )
 
     def __init__(self, backend, cores: np.ndarray) -> None:
@@ -282,9 +276,6 @@ class _PoolStructure:
         # numpy mirrors of large member lists, built lazily on first gather
         # (shared across pools: contents are as immutable as the lists)
         self.np_members: Dict[int, np.ndarray] = {}
-        # flat CSR mirror for the compiled kernels, built lazily by
-        # repro.mapping.jitkernel.pool_arrays (immutable, shared too)
-        self.jit_arrays = None
 
     @staticmethod
     def _group_members(keys: np.ndarray) -> Dict[int, list]:
@@ -756,29 +747,17 @@ class GreedyPlacementMapper(Mapper):
     Subclasses supply only their *placement program* — the structural
     ``(new_rank, ref_rank)`` sequence (:meth:`placements`), which never
     depends on distances or randomness — and this base walks it against a
-    free-core pool.  ``engine`` selects the executor:
-
-    * ``"naive"`` — :class:`CorePool` masked row scans (the reference);
-    * ``"vectorized"`` — :class:`HierarchicalFreePool` coordinate driver
-      (requires an implicit backend with a strict ladder);
-    * ``"jit"`` — :class:`~repro.mapping.jitkernel.JitFreePool`: the
-      whole program walk in one numba-compiled kernel (same backend
-      requirement; degrades to the vectorised loop when numba is absent
-      or the rng is not the default PCG64 stream);
-    * ``"auto"`` (default) — jit whenever the backend supports
-      vectorised placement, else naive.
-
-    All executors consume the rng stream identically, so the produced
-    permutations are bit-identical whatever the engine.
+    free-core pool chosen by the distance backend (:meth:`_open_pool`):
+    :class:`HierarchicalFreePool` when the backend supports vectorised
+    placement, else the :class:`CorePool` reference.  Both consume the rng
+    stream identically, so the produced permutations are bit-identical
+    whichever backend carries the distances.
     """
 
-    def __init__(self, tie_break: str = "random", engine: str = "auto") -> None:
+    def __init__(self, tie_break: str = "random") -> None:
         if tie_break not in ("random", "first"):
             raise ValueError(f"tie_break must be 'random' or 'first', got {tie_break!r}")
-        if engine not in PLACEMENT_ENGINES:
-            raise ValueError(f"engine must be one of {PLACEMENT_ENGINES}, got {engine!r}")
         self.tie_break = tie_break
-        self.engine = engine
 
     @abstractmethod
     def placements(self, p: int) -> Iterator[Tuple[int, int]]:
@@ -793,23 +772,8 @@ class GreedyPlacementMapper(Mapper):
         """Hook for heuristics with process-count constraints (e.g. RDMH)."""
 
     def _open_pool(self, D, L: np.ndarray, rng: RngLike):
-        """Instantiate the executor's pool according to ``engine``."""
-        vectorizable = getattr(D, "supports_vectorized_placement", False)
-        engine = self.engine
-        if engine == "auto":
-            engine = "jit" if vectorizable else "naive"
-        if engine in ("vectorized", "jit"):
-            if not vectorizable:
-                raise ValueError(
-                    f"engine={engine!r} needs an ImplicitDistances backend with a "
-                    "strict distance ladder; got a dense matrix or a backend with "
-                    "collapsed levels — use engine='naive' or 'auto'"
-                )
-            if engine == "jit":
-                # Local import: jitkernel subclasses the pools above.
-                from repro.mapping.jitkernel import JitFreePool
-
-                return JitFreePool(D, L, rng=rng, tie_break=self.tie_break)
+        """The backend's executor: vectorised when supported, else the reference."""
+        if getattr(D, "supports_vectorized_placement", False):
             return HierarchicalFreePool(D, L, rng=rng, tie_break=self.tie_break)
         return CorePool(D, L, rng=rng, tie_break=self.tie_break)
 
@@ -839,19 +803,19 @@ def map_batch(mappers, layout: Sequence[int], D, rngs, seconds_out=None) -> list
     """Run several mappers over one (layout, backend) pair in a single pass.
 
     The per-topology setup every :meth:`GreedyPlacementMapper.map` call
-    repeats — layout validation, the shared :class:`_PoolStructure`
-    (group membership, free-count templates) and, on the jit tier, the
-    flat kernel arrays — is warmed exactly once here and shared by all
-    mappers; only the per-run free state is rebuilt per mapper.  Each
-    mapper still draws from its *own* rng (``rngs[i]``), so every result
-    is bit-identical to the corresponding standalone ``map`` call — this
-    is the executor under :func:`repro.mapping.reorder.reorder_all`.
+    repeats — layout validation and the shared :class:`_PoolStructure`
+    (group membership, free-count templates) — is warmed exactly once
+    here and shared by all mappers; only the per-run free state is
+    rebuilt per mapper.  Each mapper still draws from its *own* rng
+    (``rngs[i]``), so every result is bit-identical to the corresponding
+    standalone ``map`` call — this is the executor under
+    :func:`repro.mapping.reorder.reorder_all`.
 
     Parameters
     ----------
     mappers:
         The mapper instances to run (typically one per registered
-        heuristic, all configured with the same engine).
+        heuristic).
     layout:
         The shared initial layout (``layout[old_rank] = core``).
     D:
@@ -876,17 +840,11 @@ def map_batch(mappers, layout: Sequence[int], D, rngs, seconds_out=None) -> list
     if not mappers:
         return []
     L = np.ascontiguousarray(np.asarray(layout, dtype=np.int64))
-    if getattr(D, "supports_vectorized_placement", False) and any(
-        m.engine != "naive" for m in mappers
-    ):
+    if getattr(D, "supports_vectorized_placement", False):
         # Warm the shared immutable structure once; every pool the loop
         # below opens over (D, L) then hits the LRU instead of rebuilding
-        # group membership (and the jit tier reuses its kernel arrays).
-        st = HierarchicalFreePool._structure_for(D, L)
-        if any(m.engine in ("auto", "jit") for m in mappers):
-            from repro.mapping.jitkernel import pool_arrays
-
-            pool_arrays(st, D)
+        # group membership.
+        HierarchicalFreePool._structure_for(D, L)
     results = []
     for m, rng in zip(mappers, rngs):
         t0 = time.perf_counter()

@@ -35,15 +35,10 @@ class BBMH(GreedyPlacementMapper):
     pattern = "binomial-bcast"
     name = "bbmh"
 
-    def __init__(
-        self,
-        traversal: str = "small-first",
-        tie_break: str = "random",
-        engine: str = "auto",
-    ) -> None:
+    def __init__(self, traversal: str = "small-first", tie_break: str = "random") -> None:
         if traversal not in _TRAVERSALS:
             raise ValueError(f"traversal must be one of {_TRAVERSALS}, got {traversal!r}")
-        super().__init__(tie_break=tie_break, engine=engine)
+        super().__init__(tie_break=tie_break)
         self.traversal = traversal
 
     def placements(self, p: int) -> Iterator[Tuple[int, int]]:

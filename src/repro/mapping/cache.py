@@ -18,16 +18,10 @@ directory is configured, as one JSON file per key written through
 parallel sweep driver's workers inherit the directory via the
 ``REPRO_MAPPING_CACHE`` environment variable).
 
-Two deliberate exclusions from the key:
-
-* ``engine`` — the naive, vectorised and jit executors are bit-identical
-  by contract (enforced by the placement-identity tests and the CCH003
-  audit probe; the jit tier replays tie-break draws through a PCG64
-  replica, so even rng streams agree), so their results are
-  interchangeable;
-* Generator rng objects — only plain integer seeds are reproducible
-  content, so :func:`repro.mapping.reorder.reorder_ranks` bypasses the
-  cache entirely for live generators.
+Every mapper kwarg is content.  Generator rng objects are not: only
+plain integer seeds are reproducible content, so
+:func:`repro.mapping.reorder.reorder_ranks` bypasses the cache entirely
+for live generators.
 
 Entries are validated on the way out (the mapping must be a permutation
 of the cached layout); anything torn or stale is treated as a miss and
@@ -79,17 +73,8 @@ def mapping_cache_key(
     seed: int,
     mapper_kwargs: Optional[Mapping[str, Any]] = None,
 ) -> str:
-    """Content address of one mapping computation.
-
-    ``engine`` is dropped from ``mapper_kwargs``: every executor tier
-    (naive, vectorized, jit) produces bit-identical placements, so the
-    engine choice is not content.
-    """
-    kwargs = {
-        k: _normalise(v)
-        for k, v in sorted((mapper_kwargs or {}).items())
-        if k != "engine"
-    }
+    """Content address of one mapping computation."""
+    kwargs = {k: _normalise(v) for k, v in sorted((mapper_kwargs or {}).items())}
     payload = json.dumps(
         {
             "fingerprint": fingerprint,

@@ -30,12 +30,10 @@ class RDMH(GreedyPlacementMapper):
     pattern = "recursive-doubling"
     name = "rdmh"
 
-    def __init__(
-        self, update_after: int = 2, tie_break: str = "random", engine: str = "auto"
-    ) -> None:
+    def __init__(self, update_after: int = 2, tie_break: str = "random") -> None:
         if update_after < 1:
             raise ValueError(f"update_after must be >= 1, got {update_after}")
-        super().__init__(tie_break=tie_break, engine=engine)
+        super().__init__(tie_break=tie_break)
         self.update_after = update_after
 
     def _validate_p(self, p: int) -> None:

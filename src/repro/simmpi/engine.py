@@ -240,8 +240,8 @@ class SchedulePricing:
         sz = np.asarray(list(sizes), dtype=np.float64)
         if sz.ndim != 1 or sz.size == 0:
             raise ValueError("sizes must be a non-empty 1-D sequence")
-        if np.any(sz <= 0):
-            raise ValueError("block sizes must be positive")
+        if not np.all((sz > 0) & np.isfinite(sz)):
+            raise ValueError("block sizes must be positive and finite")
         return sz
 
     def _finish_sizes(

@@ -7,13 +7,17 @@ checkpoint cells) instead goes through :func:`atomic_write_text` /
 :func:`atomic_write_json`: the payload is written to a ``*.tmp`` sibling
 in the same directory and moved into place with ``os.replace``, which is
 atomic on POSIX and Windows.  Readers therefore see either the old
-complete file or the new complete file — never a torn one.
+complete file or the new complete file — never a torn one.  The temp
+name carries the writer's pid and thread id, so concurrent writers of
+one path (two fabric workers writing the same manifest) never rename
+each other's temp file away.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Union
 
@@ -25,9 +29,13 @@ PathLike = Union[str, Path]
 def atomic_write_text(path: PathLike, text: str) -> Path:
     """Write ``text`` to ``path`` atomically; returns the path written."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -1,67 +1,8 @@
-"""Optional numba gating shared by the compiled-tier kernels.
+"""There is no compiled tier: placement and distance rows run on numpy.
 
-numba is an *optional* extra (``pip install .[jit]``): every caller must
-keep a bit-identical pure-python/numpy path alive, both because the
-baseline environment does not ship numba and because the fallback is the
-reference the compiled kernels are tested against.  This module is the
-single place that decides whether the compiled tier is available:
-
-* :data:`HAS_NUMBA` — True iff numba imports *and* the user has not
-  disabled it via ``REPRO_NO_NUMBA=1`` (useful to prove fallback
-  behaviour on a machine that has numba installed);
-* :func:`maybe_njit` — ``numba.njit`` when available, identity otherwise,
-  so a kernel written in the numba subset can still be imported (and its
-  pure-python twin executed) without the dependency.
+:data:`HAS_NUMBA` stays as a constant because the benchmark's run
+metadata (``perfbench/run.py``) reads this name to record which kernel
+ran.
 """
 
-from __future__ import annotations
-
-import os
-
-__all__ = ["HAS_NUMBA", "maybe_njit", "numba_disabled_reason"]
-
-_DISABLE_ENV = "REPRO_NO_NUMBA"
-
-if os.environ.get(_DISABLE_ENV, "") not in ("", "0"):
-    HAS_NUMBA = False
-    _REASON = f"disabled via {_DISABLE_ENV}"
-else:
-    try:
-        import numba  # noqa: F401
-
-        HAS_NUMBA = True
-        _REASON = ""
-    except Exception:  # pragma: no cover - exercised only without numba
-        HAS_NUMBA = False
-        _REASON = "numba is not installed (pip install .[jit])"
-
-
-def numba_disabled_reason() -> str:
-    """Why the compiled tier is unavailable ('' when it is available)."""
-    return _REASON
-
-
-def maybe_njit(*args, **kwargs):
-    """``numba.njit`` when numba is available, identity decorator otherwise.
-
-    Usage matches ``numba.njit``: bare (``@maybe_njit``) or parametrised
-    (``@maybe_njit(cache=True)``).  Without numba the function object is
-    returned unchanged, so modules defining compiled kernels import
-    cleanly and their python twins remain testable.
-    """
-    if len(args) == 1 and callable(args[0]) and not kwargs:
-        func = args[0]
-        if HAS_NUMBA:
-            import numba
-
-            return numba.njit(func)
-        return func
-
-    def deco(func):
-        if HAS_NUMBA:
-            import numba
-
-            return numba.njit(*args, **kwargs)(func)
-        return func
-
-    return deco
+HAS_NUMBA = False

@@ -29,8 +29,7 @@ def _doctored_reorder(pattern, layout, D, kind="heuristic", rng=0, cache="auto",
 
 def _doctored_key_extra_exclusion(fingerprint, pattern, kind, layout, seed,
                                   mapper_kwargs):
-    payload = {k: v for k, v in mapper_kwargs.items()
-               if k != "engine" and k != "tie_break"}
+    payload = {k: v for k, v in mapper_kwargs.items() if k != "tie_break"}
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
@@ -40,8 +39,6 @@ def _doctored_key_no_exclusion(fingerprint, pattern, kind, layout, seed,
 
 
 def _doctored_key_missing_param(fingerprint, pattern, kind, layout, seed):
-    if seed != "engine":  # keep the exclusion contract satisfied
-        pass
     return hashlib.sha256(repr((fingerprint, pattern)).encode()).hexdigest()
 
 
@@ -68,16 +65,18 @@ class TestCch002ContractDrift:
         assert "tie_break" in "".join(d.message for d in report.diagnostics)
 
     def test_dropped_exclusion_is_caught(self):
-        report = check_reorder_key_coverage(key_func=_doctored_key_no_exclusion)
+        report = check_reorder_key_coverage(
+            key_func=_doctored_key_no_exclusion, documented_exclusions={"tie_break"}
+        )
         assert "CCH002" in report.codes()
-        assert "engine" in "".join(d.message for d in report.diagnostics)
+        assert "tie_break" in "".join(d.message for d in report.diagnostics)
 
     def test_missing_payload_param_is_caught(self):
         report = check_reorder_key_coverage(key_func=_doctored_key_missing_param)
         assert "CCH002" in report.codes()
 
     def test_documented_exclusions_are_the_contract(self):
-        assert DOCUMENTED_KWARG_EXCLUSIONS == frozenset({"engine"})
+        assert DOCUMENTED_KWARG_EXCLUSIONS == frozenset()
 
 
 class TestCch003EngineIdentity:
@@ -85,15 +84,15 @@ class TestCch003EngineIdentity:
         report = probe_engine_identity(n_nodes=2)
         assert [str(d) for d in report.diagnostics] == []
 
-    def test_probe_covers_jit_engine(self, monkeypatch):
-        """The probe must flag a jit tier that drifts from naive."""
+    def test_probe_flags_vectorised_drift(self, monkeypatch):
+        """The probe must flag a vectorised pool that drifts from CorePool."""
         import repro.mapping.reorder as reorder_mod
 
         real = reorder_mod.reorder_ranks
 
         def doctored(pattern, layout, D, **kwargs):
             res = real(pattern, layout, D, **kwargs)
-            if kwargs.get("engine") == "jit":
+            if hasattr(D, "row"):  # implicit backend -> vectorised pool
                 m = res.mapping.copy()
                 m[0], m[1] = m[1], m[0]
                 res.reordering.mapping[:] = m
@@ -101,7 +100,8 @@ class TestCch003EngineIdentity:
 
         monkeypatch.setattr(reorder_mod, "reorder_ranks", doctored)
         report = probe_engine_identity(n_nodes=2)
-        assert any("jit" in str(d) for d in report.diagnostics)
+        assert report.codes() and set(report.codes()) == {"CCH003"}
+        assert all("CorePool oracle" in str(d) for d in report.diagnostics)
 
 
 class TestCch004DiskTier:

@@ -111,10 +111,9 @@ class TestRunMappingPerf:
         for case in report.cases:
             assert case.mismatches == 0
             assert case.naive_seconds > 0 and case.vectorized_seconds > 0
-            assert case.jit_seconds > 0 and case.jit_speedup > 0
-            assert case.speedup_baseline == "naive"
+            assert case.speedup > 0
             assert set(case.naive_map_seconds) == set(report.heuristics)
-            assert set(case.jit_map_seconds) == set(report.heuristics)
+            assert set(case.vectorized_map_seconds) == set(report.heuristics)
         data = json.loads(out.read_text())
         assert [c["p"] for c in data["cases"]] == [16, 64]
         assert data["heuristics"] == sorted(data["heuristics"])
@@ -127,17 +126,18 @@ class TestRunMappingPerf:
             p_values=[16, 64], repeats=1, naive_max_p=16, out_path=None
         )
         below, above = report.cases
-        assert below.naive_seconds > 0 and below.speedup_baseline == "naive"
+        assert below.naive_seconds > 0 and below.speedup > 0
+        assert below.mismatches == 0
         assert above.naive_seconds is None
         assert above.naive_map_seconds is None
-        assert above.speedup_baseline == "vectorized"
-        assert above.speedup == pytest.approx(above.jit_speedup)
-        assert above.mismatches == 0  # jit-vs-vectorized still checked
+        # no oracle ran above the cutoff, so nothing was compared
+        assert above.speedup is None and above.mismatches is None
         # the JSON row records null, not a number
         import dataclasses
 
         row = dataclasses.asdict(above)
         assert row["naive_seconds"] is None
+        assert row["speedup"] is None and row["mismatches"] is None
         assert "-" in report.summary()
 
     def test_quick_mode_shrinks_grid(self):

@@ -1,19 +1,21 @@
-"""Placement-identity tests: naive CorePool vs. the vectorised driver.
+"""Placement-identity tests: the CorePool oracle vs. the vectorised driver.
 
-The vectorised engine (:class:`repro.mapping.base.HierarchicalFreePool`
-driven by ``execute_program``) must reproduce the naive per-query
-reference *bit for bit* — same cores, same rng stream, both tie-break
-modes — otherwise cached mappings and benchmark cross-checks would
-silently drift between engines.
+The distance backend picks the executor: a dense matrix runs the naive
+per-query :class:`repro.mapping.base.CorePool`, a strict-ladder implicit
+backend the vectorised :class:`repro.mapping.base.HierarchicalFreePool`
+(driven by ``execute_program``).  The two must agree *bit for bit* —
+same cores, same rng stream, both tie-break modes — otherwise cached
+mappings and benchmark cross-checks would silently drift between
+backends.
 """
 
 import numpy as np
 import pytest
 
 from repro.mapping.base import (
+    CorePool,
     HierarchicalFreePool,
     PoolExhaustedError,
-    PLACEMENT_ENGINES,
 )
 from repro.mapping.bbmh import BBMH
 from repro.mapping.bgmh import BGMH
@@ -40,12 +42,12 @@ def big_cluster():
     return gpc_cluster(n_nodes=32)
 
 
-def _both_engines(cls, cluster, layout, tie_break, seed):
-    naive = cls(tie_break=tie_break, engine="naive").map(
-        layout, cluster.distance_matrix(), rng=seed
-    )
-    vect = cls(tie_break=tie_break, engine="vectorized").map(
-        layout, cluster.implicit_distances(), rng=seed
+def _both_engines(cls, cluster, layout, tie_break, seed, vect_seed=None):
+    """Map on the dense backend (CorePool) and the implicit one (vectorised)."""
+    mapper = cls(tie_break=tie_break)
+    naive = mapper.map(layout, cluster.distance_matrix(), rng=seed)
+    vect = mapper.map(
+        layout, cluster.implicit_distances(), rng=seed if vect_seed is None else vect_seed
     )
     return naive, vect
 
@@ -86,33 +88,63 @@ class TestPlacementIdentity:
         naive, vect = _both_engines(cls, mid_cluster, survivors, "random", 5)
         assert np.array_equal(naive, vect)
 
+    @pytest.mark.parametrize("cls", HEURISTICS)
+    def test_rng_stream_identical_after_map(self, mid_cluster, cls):
+        """Shared-Generator callers see the exact same stream afterwards."""
+        L = make_layout("cyclic-bunch", mid_cluster, 64)
+        g1, g2 = make_rng(99), make_rng(99)
+        naive, vect = _both_engines(cls, mid_cluster, L, "random", g1, g2)
+        assert np.array_equal(naive, vect)
+        assert g1.bit_generator.state == g2.bit_generator.state
+        assert g1.integers(1 << 30) == g2.integers(1 << 30)
+
+    def test_non_pcg64_generator(self, mid_cluster):
+        """Tie-break draws agree for any bit generator, not just PCG64."""
+        L = make_layout("block-bunch", mid_cluster, 32)
+        g1 = np.random.Generator(np.random.MT19937(5))  # noqa: REP001
+        g2 = np.random.Generator(np.random.MT19937(5))  # noqa: REP001
+        naive, vect = _both_engines(RMH, mid_cluster, L, "random", g1, g2)
+        assert np.array_equal(naive, vect)
+        assert g1.integers(1 << 30) == g2.integers(1 << 30)
+
+
+def _collapsed_ladder_cluster():
+    # Zero LEAF_LINE weight collapses the same-leaf and same-line levels:
+    # that implicit backend advertises no vectorised support.
+    weights = dict(DEFAULT_DISTANCE_WEIGHTS)
+    weights[LinkClass.LEAF_LINE] = 0.0
+    return ClusterTopology(n_nodes=8, distance_weights=weights)
+
+
+class TestPoolSelection:
+    def test_backend_picks_the_pool(self, mid_cluster):
+        # A collapsed-ladder implicit backend gets the CorePool oracle,
+        # like a dense matrix does.
+        collapsed = _collapsed_ladder_cluster()
+        assert not collapsed.implicit_distances().supports_vectorized_placement
+        mapper = RMH()
+        L = make_layout("block-bunch", mid_cluster, 16)
+        for D, expected in (
+            (mid_cluster.implicit_distances(), HierarchicalFreePool),
+            (collapsed.implicit_distances(), CorePool),
+            (mid_cluster.distance_matrix(), CorePool),
+        ):
+            assert type(mapper._open_pool(D, L, 0)) is expected
+
 
 class TestEngineSelection:
-    def test_engine_validated_at_construction(self):
-        with pytest.raises(ValueError, match="engine"):
-            RMH(engine="bogus")
-        assert "vectorized" in PLACEMENT_ENGINES
-
-    def test_vectorized_rejects_dense_matrix(self, mid_cluster):
-        L = make_layout("block-bunch", mid_cluster, 16)
-        with pytest.raises(ValueError, match="vectorized"):
-            RMH(engine="vectorized").map(L, mid_cluster.distance_matrix(), rng=0)
-
     def test_auto_falls_back_on_collapsed_ladder(self):
-        # Zero LEAF_LINE weight collapses the same-leaf and same-line
-        # levels: the implicit backend advertises no vectorised support,
-        # and engine="auto" must quietly fall back to the naive pool.
-        weights = dict(DEFAULT_DISTANCE_WEIGHTS)
-        weights[LinkClass.LEAF_LINE] = 0.0
-        cluster = ClusterTopology(n_nodes=8, distance_weights=weights)
+        # The collapsed backend falls back to the CorePool oracle and
+        # still maps exactly like its dense matrix.
+        cluster = _collapsed_ladder_cluster()
         impl = cluster.implicit_distances()
         assert not impl.supports_vectorized_placement
         L = make_layout("block-bunch", cluster, 16)
-        via_auto = RMH(engine="auto").map(L, impl, rng=2)
-        via_naive = RMH(engine="naive").map(L, cluster.distance_matrix(), rng=2)
-        assert np.array_equal(via_auto, via_naive)
-        with pytest.raises(ValueError, match="vectorized"):
-            RMH(engine="vectorized").map(L, impl, rng=2)
+        assert type(RMH()._open_pool(impl, L, 0)) is CorePool
+        assert np.array_equal(
+            RMH().map(L, impl, rng=2),
+            RMH().map(L, cluster.distance_matrix(), rng=2),
+        )
 
 
 class TestHierarchicalFreePool:
@@ -127,9 +159,23 @@ class TestHierarchicalFreePool:
         with pytest.raises(PoolExhaustedError):
             pool.place_closest(0)
 
-    def test_closest_free_matches_reference(self, mid_cluster, mid_D):
-        from repro.mapping.base import CorePool
+    def test_exhaustion_error_matches_reference(self, mid_cluster):
+        """A program placing more ranks than there are cores raises the
+        same PoolExhaustedError on both backends."""
 
+        class Overfull(RMH):
+            def placements(self, p):
+                return ((1, 0) for _ in range(p))
+
+        L = make_layout("block-bunch", mid_cluster, 16)
+        messages = []
+        for D in (mid_cluster.distance_matrix(), mid_cluster.implicit_distances()):
+            with pytest.raises(PoolExhaustedError) as exc_info:
+                Overfull().map(L, D, rng=0)
+            messages.append(str(exc_info.value))
+        assert messages[0] == messages[1]
+
+    def test_closest_free_matches_reference(self, mid_cluster, mid_D):
         cores = np.arange(24)
         a = CorePool(mid_D, cores, rng=0)
         b = HierarchicalFreePool(mid_cluster.implicit_distances(), cores, rng=0)

@@ -193,6 +193,27 @@ class TestErrorPaths:
                 )
         assert exc_info.value.code == "bad-request"
 
+    def test_non_finite_price_numbers_are_bad_request(self, served):
+        # Python's json accepts NaN/Infinity; answering them "ok" would
+        # echo non-JSON totals back to the client.
+        es, fingerprint = served
+        raw = (
+            '{{"v": 1, "id": 5, "op": "price", "fingerprint": "{fp}", '
+            '"algorithm": "ring", "layout": "block-bunch", {field}}}\n'
+        )
+        with es.client() as c:
+            for field in (
+                '"sizes": [NaN]',
+                '"sizes": [1024, Infinity]',
+                '"sizes": [-Infinity]',
+                '"sizes": [1024], "extra_copy_bytes": NaN',
+                '"sizes": [1024], "extra_copy_bytes": Infinity',
+            ):
+                line = raw.format(fp=fingerprint, field=field).encode("utf-8")
+                answer = json.loads(c.send_raw(line)[0])
+                assert answer["ok"] is False, field
+                assert answer["error"]["code"] == "bad-request", field
+
     def test_engine_option_is_not_client_visible(self, served):
         es, fingerprint = served
         with es.client() as c:

@@ -134,3 +134,6 @@ def test_sizes_validation():
         ENGINE.evaluate_sizes(sched, M, [])
     with pytest.raises(ValueError, match="positive"):
         ENGINE.evaluate_sizes(sched, M, [1024.0, 0.0])
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            ENGINE.evaluate_sizes(sched, M, [1024.0, bad])

@@ -80,5 +80,10 @@ class TestFusedPricingIdentity:
             pricing.evaluate_sizes([])
         with pytest.raises(ValueError, match="positive"):
             pricing.evaluate_sizes([1.0, -2.0])
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                pricing.evaluate_sizes([1.0, bad])
+            with pytest.raises(ValueError, match="finite"):
+                pricing.evaluate_sizes_reference([1.0, bad])
         with pytest.raises(ValueError, match="non-empty"):
             pricing.evaluate_sizes_reference([])
