@@ -1,7 +1,7 @@
 """Concurrency / fork-safety lint (``PAR0xx``): AST pass over sources.
 
-The parallel sweep drivers fan work out over ``ProcessPoolExecutor``
-workers, and the checkpointed runner journals cells while other
+The checkpointed sweep runner fans cells out over
+``ProcessPoolExecutor`` workers and journals them while other
 processes may be reading them.  Three statically checkable contracts
 keep that safe:
 
@@ -12,8 +12,8 @@ keep that safe:
     at best a per-worker cache (each child has its own copy — fine, but
     it must be *intentional* and marked with a justified ``# noqa``) and
     at worst an aliasing bug when the same function also runs in the
-    parent.  The deliberate per-worker caches in ``bench/runner.py`` and
-    ``bench/microbench.py`` carry exactly such suppressions.
+    parent.  The deliberate per-worker evaluator cache in
+    ``bench/runner.py`` carries exactly such a suppression.
 
 ``PAR002``
     Direct (non-atomic) file writes on persistence paths — packages

@@ -60,7 +60,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.microbench import SweepPoint
-from repro.bench.runner import CheckpointedSweep, SweepSpec, compute_cell
+from repro.bench.runner import (
+    CheckpointedSweep,
+    SweepSpec,
+    cell_costs,
+    cell_filename,
+    compute_cell,
+)
 from repro.util.atomicio import atomic_write_json, exclusive_create_text
 
 __all__ = [
@@ -156,13 +162,7 @@ def journaled_cell_costs(spec: SweepSpec, out_dir) -> Dict[str, float]:
     cost; cells never journaled — or journaled by a pre-cost version —
     are simply absent.
     """
-    cs = CheckpointedSweep(spec, out_dir)
-    done, _ = cs.collect_cells()
-    return {
-        cell: float(payload["compute_seconds"])
-        for cell, payload in done.items()
-        if isinstance(payload.get("compute_seconds"), (int, float))
-    }
+    return cell_costs(CheckpointedSweep(spec, out_dir).collect_cells()[0])
 
 
 def plan_shards(
@@ -405,7 +405,7 @@ def _quarantine_dir(out_dir) -> Path:
 
 
 def _quarantine_path(out_dir, cell: str) -> Path:
-    return _quarantine_dir(out_dir) / (cell.replace("::", "__") + ".json")
+    return _quarantine_dir(out_dir) / cell_filename(cell)
 
 
 class FabricWorker:
@@ -717,11 +717,7 @@ def fabric_merge(out_dir) -> FabricMergeResult:
         workers=workers,
         steals=sum(int(w.get("steals", 0)) for w in workers),
         lease_contention=sum(int(w.get("lease_contention", 0)) for w in workers),
-        cell_seconds={
-            cell: float(payload["compute_seconds"])
-            for cell, payload in done.items()
-            if isinstance(payload.get("compute_seconds"), (int, float))
-        },
+        cell_seconds=cell_costs(done),
     )
 
 
@@ -802,11 +798,7 @@ def fabric_status(out_dir, lease_ttl: float = DEFAULT_LEASE_TTL) -> FabricStatus
         n_done=len(done),
         n_pending=len([c for c in pending if c not in quarantined]),
         n_quarantined=len([c for c in quarantined if c not in done]),
-        cell_seconds={
-            cell: float(payload["compute_seconds"])
-            for cell, payload in done.items()
-            if isinstance(payload.get("compute_seconds"), (int, float))
-        },
+        cell_seconds=cell_costs(done),
     )
     if not _plan_path(out_dir).is_file():
         return status

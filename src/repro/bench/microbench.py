@@ -10,23 +10,34 @@ The sweep is organised so the *size* loop is innermost and batched: per
 (layout, mapper, strategy) grid cell one
 :meth:`~repro.evaluation.evaluator.AllgatherEvaluator.reordered_latencies`
 call prices every message size against shared route/alpha/unit-load
-tables (see ``docs/performance.md``).  Passing ``workers=N`` additionally
-fans the (layout, mapper) grid cells out over a process pool — results
-are bit-identical to the serial sweep because every reordering seed is
-derived deterministically from the cell's content.
+tables (see ``docs/performance.md``).
+
+The grid has one owner: :func:`sweep_cells` names the cells,
+:func:`price_cell` prices one and :func:`points_from_cells` merges them.
+The serial sweeps below and the checkpointed runner
+(:mod:`repro.bench.runner`: journal, process pool) share these three, and
+reordering seeds come from cell content, so any cell order gives the
+same points.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 
 from repro.evaluation.evaluator import AllgatherEvaluator, LatencyReport
 from repro.mapping.initial import make_layout
 
-__all__ = ["OSU_SIZES", "SweepPoint", "sweep_nonhierarchical", "sweep_hierarchical"]
+__all__ = [
+    "OSU_SIZES",
+    "SweepPoint",
+    "sweep_nonhierarchical",
+    "sweep_hierarchical",
+    "sweep_cells",
+    "price_cell",
+    "points_from_cells",
+]
 
 #: Message sizes of the paper's sweeps: 1 B .. 256 KiB in powers of two.
 OSU_SIZES = [1 << k for k in range(19)]
@@ -72,10 +83,9 @@ def sweep_nonhierarchical(
     sizes: Iterable[int] = OSU_SIZES,
     mappers: Sequence[str] = ("heuristic", "scotch"),
     strategies: Sequence[str] = ("initcomm", "endshfl"),
-    workers: Optional[int] = None,
 ) -> List[SweepPoint]:
     """The Fig. 3 sweep: non-hierarchical allgather, four initial mappings."""
-    return _sweep(evaluator, p, layouts, sizes, mappers, strategies, False, "binomial", workers)
+    return _sweep(evaluator, p, layouts, sizes, mappers, strategies, False, "binomial")
 
 
 def sweep_hierarchical(
@@ -86,93 +96,112 @@ def sweep_hierarchical(
     mappers: Sequence[str] = ("heuristic", "scotch"),
     strategies: Sequence[str] = ("initcomm", "endshfl"),
     intra: str = "binomial",
-    workers: Optional[int] = None,
 ) -> List[SweepPoint]:
     """The Fig. 4 sweep: hierarchical allgather, block mappings only.
 
     The paper skips cyclic mappings here ("hierarchical allgather is not
     supported with cyclic mapping" in MVAPICH).
     """
-    return _sweep(evaluator, p, layouts, sizes, mappers, strategies, True, intra, workers)
+    return _sweep(evaluator, p, layouts, sizes, mappers, strategies, True, intra)
 
 
-# ----------------------------------------------------------------------
-# process-pool plumbing: workers inherit one pickled evaluator each via
-# the pool initializer instead of re-pickling it per submitted cell.
-# ----------------------------------------------------------------------
-_WORKER_EVALUATOR: Optional[AllgatherEvaluator] = None
+def sweep_cells(layouts: Sequence[str], mappers: Sequence[str]) -> List[str]:
+    """Grid cell ids in canonical order: ``base::<layout>`` (default
+    mapping) per layout, then ``tuned::<layout>::<mapper>`` (every
+    restoration strategy of that reordering) per (layout, mapper)."""
+    out = [f"base::{lname}" for lname in layouts]
+    out += [f"tuned::{lname}::{mapper}" for lname in layouts for mapper in mappers]
+    return out
 
 
-def _init_worker(evaluator: AllgatherEvaluator) -> None:
-    # intentional per-worker cache: each pool child sets its own copy once,
-    # at initialization, before any cell runs — no cross-process aliasing
-    global _WORKER_EVALUATOR  # noqa: PAR001
-    _WORKER_EVALUATOR = evaluator
+def price_cell(
+    evaluator: AllgatherEvaluator,
+    p: int,
+    cell: str,
+    sizes: Sequence[int],
+    strategies: Sequence[str],
+    hierarchical: bool,
+    intra: str,
+) -> Dict:
+    """Price one grid cell; returns its JSON-serialisable payload.
 
-
-def _worker_base_cell(args) -> Tuple[str, List[LatencyReport]]:
-    lname, p, sizes, hierarchical, intra = args
-    ev = _WORKER_EVALUATOR
-    L = make_layout(lname, ev.cluster, p)
-    return lname, ev.default_latencies(L, sizes, hierarchical, intra)
-
-
-def _worker_mapper_cell(args) -> Tuple[str, str, Dict[str, List[LatencyReport]]]:
-    lname, mapper, p, sizes, strategies, hierarchical, intra = args
-    ev = _WORKER_EVALUATOR
-    L = make_layout(lname, ev.cluster, p)
-    return lname, mapper, {
-        strategy: ev.reordered_latencies(L, sizes, mapper, strategy, hierarchical, intra)
+    Deterministic given the arguments: reordering seeds come from the
+    layout/mapper content, so the same cell priced in another process,
+    or again on resume, yields the same payload.
+    """
+    parts = cell.split("::")
+    if (parts[0], len(parts)) not in (("base", 2), ("tuned", 3)):
+        raise ValueError(f"unknown cell id {cell!r}")
+    L = make_layout(parts[1], evaluator.cluster, p)
+    sizes = list(sizes)
+    if parts[0] == "base":
+        reports = evaluator.default_latencies(L, sizes, hierarchical, intra)
+        return {
+            "cell": cell,
+            "kind": "base",
+            "layout": parts[1],
+            "reports": [asdict(r) for r in reports],
+        }
+    by_strategy = {
+        strategy: [
+            asdict(r)
+            for r in evaluator.reordered_latencies(
+                L, sizes, parts[2], strategy, hierarchical, intra
+            )
+        ]
         for strategy in strategies
+    }
+    return {
+        "cell": cell,
+        "kind": "tuned",
+        "layout": parts[1],
+        "mapper": parts[2],
+        "strategies": by_strategy,
     }
 
 
-def _compute_cells_parallel(
-    evaluator, p, layouts, sizes, mappers, strategies, hierarchical, intra, workers
-):
-    """Fan the (layout[, mapper]) grid cells out over a process pool."""
-    base: Dict[str, List[LatencyReport]] = {}
-    tuned: Dict[Tuple[str, str], Dict[str, List[LatencyReport]]] = {}
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(evaluator,)
-    ) as pool:
-        base_futs = [
-            pool.submit(_worker_base_cell, (lname, p, sizes, hierarchical, intra))
-            for lname in layouts
-        ]
-        cell_futs = [
-            pool.submit(
-                _worker_mapper_cell,
-                (lname, mapper, p, sizes, strategies, hierarchical, intra),
-            )
-            for lname in layouts
-            for mapper in mappers
-        ]
-        for fut in base_futs:
-            lname, reports = fut.result()
-            base[lname] = reports
-        for fut in cell_futs:
-            lname, mapper, by_strategy = fut.result()
-            tuned[(lname, mapper)] = by_strategy
-    return base, tuned
+def points_from_cells(
+    done: Mapping[str, Dict],
+    layouts: Sequence[str],
+    sizes: Sequence[int],
+    mappers: Sequence[str],
+    strategies: Sequence[str],
+    hierarchical: bool,
+    intra: str,
+) -> List[SweepPoint]:
+    """Priced cell payloads -> SweepPoints, in canonical sweep order.
 
-
-def _compute_cells_serial(
-    evaluator, p, layouts, sizes, mappers, strategies, hierarchical, intra
-):
-    base: Dict[str, List[LatencyReport]] = {}
-    tuned: Dict[Tuple[str, str], Dict[str, List[LatencyReport]]] = {}
+    Cells absent from ``done`` (quarantined, or never computed) are
+    skipped; a missing base cell drops its whole layout, since
+    improvement percentages need the baseline.
+    """
+    points: List[SweepPoint] = []
     for lname in layouts:
-        L = make_layout(lname, evaluator.cluster, p)
-        base[lname] = evaluator.default_latencies(L, sizes, hierarchical, intra)
-        for mapper in mappers:
-            tuned[(lname, mapper)] = {
-                strategy: evaluator.reordered_latencies(
-                    L, sizes, mapper, strategy, hierarchical, intra
-                )
-                for strategy in strategies
-            }
-    return base, tuned
+        base = done.get(f"base::{lname}")
+        if base is None:
+            continue
+        base_reports = [LatencyReport(**d) for d in base["reports"]]
+        for si, bb in enumerate(sizes):
+            for mapper in mappers:
+                tuned = done.get(f"tuned::{lname}::{mapper}")
+                if tuned is None:
+                    continue
+                for strategy in strategies:
+                    rep = LatencyReport(**tuned["strategies"][strategy][si])
+                    points.append(
+                        SweepPoint(
+                            layout=lname,
+                            block_bytes=int(bb),
+                            mapper=mapper,
+                            strategy=strategy,
+                            hierarchical=hierarchical,
+                            intra=intra,
+                            algorithm=rep.algorithm,
+                            base_us=base_reports[si].seconds * 1e6,
+                            tuned_us=rep.seconds * 1e6,
+                        )
+                    )
+    return points
 
 
 def _sweep(
@@ -184,36 +213,10 @@ def _sweep(
     strategies: Sequence[str],
     hierarchical: bool,
     intra: str,
-    workers: Optional[int] = None,
 ) -> List[SweepPoint]:
     sizes = list(sizes)
-    if workers is not None and workers > 1:
-        base, tuned = _compute_cells_parallel(
-            evaluator, p, layouts, sizes, mappers, strategies, hierarchical, intra, workers
-        )
-    else:
-        base, tuned = _compute_cells_serial(
-            evaluator, p, layouts, sizes, mappers, strategies, hierarchical, intra
-        )
-
-    points: List[SweepPoint] = []
-    for lname in layouts:
-        for si, bb in enumerate(sizes):
-            base_rep = base[lname][si]
-            for mapper in mappers:
-                for strategy in strategies:
-                    rep = tuned[(lname, mapper)][strategy][si]
-                    points.append(
-                        SweepPoint(
-                            layout=lname,
-                            block_bytes=int(bb),
-                            mapper=mapper,
-                            strategy=strategy,
-                            hierarchical=hierarchical,
-                            intra=intra,
-                            algorithm=rep.algorithm,
-                            base_us=base_rep.seconds * 1e6,
-                            tuned_us=rep.seconds * 1e6,
-                        )
-                    )
-    return points
+    done = {
+        cell: price_cell(evaluator, p, cell, sizes, strategies, hierarchical, intra)
+        for cell in sweep_cells(layouts, mappers)
+    }
+    return points_from_cells(done, layouts, sizes, mappers, strategies, hierarchical, intra)

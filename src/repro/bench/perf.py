@@ -89,7 +89,6 @@ class PerfReport:
     layouts: List[str] = field(default_factory=list)
     mappers: List[str] = field(default_factory=list)
     strategies: List[str] = field(default_factory=list)
-    workers: Optional[int] = None
     quick: bool = False
     repeats: int = 1
     timestamp: float = 0.0
@@ -105,9 +104,8 @@ class PerfReport:
             f"  naive per-size loop : {self.naive_seconds:8.3f} s "
             f"({self.points_per_sec_naive:8.1f} points/s)\n"
             f"  batched pipeline    : {self.batched_seconds:8.3f} s "
-            f"({self.points_per_sec_batched:8.1f} points/s)"
-            + (f"  [workers={self.workers}]" if self.workers else "")
-            + f"\n  speedup             : {self.speedup:8.2f}x"
+            f"({self.points_per_sec_batched:8.1f} points/s)\n"
+            f"  speedup             : {self.speedup:8.2f}x"
             f"\n  max rel. difference : {self.max_rel_diff:.3e}"
         )
         if self.profile_top:
@@ -197,8 +195,7 @@ def _profile_batched(
 ) -> List[dict]:
     """cProfile one batched sweep; return the top-N cumulative hotspots.
 
-    Runs in-process (never under ``workers``, whose subprocesses the
-    profiler cannot see) on a fresh evaluator, so the numbers describe
+    Runs in-process on a fresh evaluator, so the numbers describe
     exactly the pipeline the ``batched_seconds`` timing measured.
     """
     import cProfile
@@ -207,7 +204,7 @@ def _profile_batched(
     ev = _fresh_evaluator(n_nodes, reorder_cache)
     prof = cProfile.Profile()
     prof.enable()
-    _sweep(ev, p, layouts, sizes, mappers, strategies, False, "binomial", None)
+    _sweep(ev, p, layouts, sizes, mappers, strategies, False, "binomial")
     prof.disable()
     stats = pstats.Stats(prof)
     stats.sort_stats("cumulative")
@@ -440,7 +437,6 @@ def run_perf(
     layouts: Optional[Sequence[str]] = None,
     mappers: Sequence[str] = ("heuristic", "scotch"),
     strategies: Sequence[str] = ("initcomm", "endshfl"),
-    workers: Optional[int] = None,
     quick: bool = False,
     repeats: int = 1,
     profile: bool = False,
@@ -491,7 +487,7 @@ def run_perf(
         ev_batched = _fresh_evaluator(n_nodes, warm._reorder_cache)
         t0 = time.perf_counter()
         batched_points = _sweep(
-            ev_batched, p, layouts, sizes, mappers, strategies, False, "binomial", workers
+            ev_batched, p, layouts, sizes, mappers, strategies, False, "binomial"
         )
         batched_best = min(batched_best, time.perf_counter() - t0)
 
@@ -518,7 +514,6 @@ def run_perf(
         layouts=list(layouts),
         mappers=list(mappers),
         strategies=list(strategies),
-        workers=workers,
         quick=quick,
         repeats=repeats,
         timestamp=time.time(),

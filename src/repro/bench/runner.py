@@ -1,9 +1,9 @@
 """Crash-safe, resumable sweep driver (checkpointed grid fan-out).
 
-The PR-2 parallel sweep (:func:`repro.bench.microbench._sweep` with
-``workers=N``) is all-or-nothing: a worker crash, an OOM kill, or a
-pre-empted job throws away every completed grid cell.  This module wraps
-the same (layout[, mapper]) cell decomposition in a journaled runner:
+The one parallel sweep driver.  It prices the (layout[, mapper]) grid
+cells named by :func:`repro.bench.microbench.sweep_cells` with
+:func:`~repro.bench.microbench.price_cell`, in-process or over a
+process pool (``workers=N``), and journals the run:
 
 * every finished cell is checkpointed to ``<out_dir>/cells/*.json``
   with an atomic tmp-file + ``os.replace`` write, so a SIGKILL at any
@@ -37,18 +37,32 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.microbench import OSU_SIZES, SweepPoint
-from repro.evaluation.evaluator import AllgatherEvaluator, LatencyReport
+from repro.bench.microbench import (
+    OSU_SIZES,
+    SweepPoint,
+    points_from_cells,
+    price_cell,
+    sweep_cells,
+)
+from repro.evaluation.evaluator import AllgatherEvaluator
 from repro.mapping.cache import MAPPING_CACHE_ENV
-from repro.mapping.initial import make_layout
+from repro.mapping.initial import INITIAL_LAYOUTS
+from repro.mapping.reorder import MAPPER_KINDS
 from repro.topology.gpc import gpc_cluster
 from repro.util.atomicio import atomic_write_json
 
-__all__ = ["SweepSpec", "CheckpointedSweep", "SweepRunResult", "compute_cell"]
+__all__ = [
+    "SweepSpec",
+    "CheckpointedSweep",
+    "SweepRunResult",
+    "compute_cell",
+    "cell_filename",
+    "cell_costs",
+]
 
 #: Test hook: sleep this many seconds at the start of every cell, so a
 #: test can SIGKILL the run mid-flight with a predictable window open.
@@ -72,16 +86,29 @@ class SweepSpec:
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         object.__setattr__(self, "mappers", tuple(self.mappers))
         object.__setattr__(self, "strategies", tuple(self.strategies))
+        # Fail here, before any manifest exists: a bad value would
+        # otherwise fail every cell, retry it and quarantine the grid.
+        # ``mappers`` may be empty: that grid prices the base cells only.
+        if not isinstance(self.n_nodes, int) or self.n_nodes < 1:
+            raise ValueError(f"n_nodes must be a positive integer, got {self.n_nodes!r}")
+        for name, values, known in (
+            ("layouts", self.layouts, sorted(INITIAL_LAYOUTS)),
+            ("mappers", self.mappers, MAPPER_KINDS),
+            ("strategies", self.strategies, ("initcomm", "endshfl")),
+        ):
+            if not values and name != "mappers":
+                raise ValueError(f"{name} must be non-empty")
+            unknown = [v for v in values if v not in known]
+            if unknown:
+                raise ValueError(f"unknown {name} {unknown}; known: {list(known)}")
+        if not self.sizes or min(self.sizes) < 1:
+            raise ValueError(f"sizes must be non-empty and positive, got {list(self.sizes)}")
+        if self.intra not in ("binomial", "linear"):
+            raise ValueError(f"intra must be 'binomial' or 'linear', got {self.intra!r}")
 
     def cells(self) -> List[str]:
         """Grid cell ids, in canonical (deterministic) order."""
-        out = [f"base::{lname}" for lname in self.layouts]
-        out += [
-            f"tuned::{lname}::{mapper}"
-            for lname in self.layouts
-            for mapper in self.mappers
-        ]
-        return out
+        return sweep_cells(self.layouts, self.mappers)
 
     def fingerprint(self) -> str:
         import hashlib
@@ -91,19 +118,21 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "SweepSpec":
-        return cls(
-            n_nodes=int(d["n_nodes"]),
-            layouts=tuple(d["layouts"]),
-            sizes=tuple(d["sizes"]),
-            mappers=tuple(d["mappers"]),
-            strategies=tuple(d["strategies"]),
-            hierarchical=bool(d["hierarchical"]),
-            intra=str(d["intra"]),
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
-def _cell_filename(cell: str) -> str:
+def cell_filename(cell: str) -> str:
+    """Journal file name of one cell (``cells/`` and fabric ``quarantine/``)."""
     return cell.replace("::", "__") + ".json"
+
+
+def cell_costs(done: Dict[str, Dict]) -> Dict[str, float]:
+    """Measured ``compute_seconds`` by cell; cells journaled without one are absent."""
+    return {
+        cell: float(payload["compute_seconds"])
+        for cell, payload in done.items()
+        if isinstance(payload.get("compute_seconds"), (int, float))
+    }
 
 
 # ----------------------------------------------------------------------
@@ -129,52 +158,23 @@ def _evaluator_for(spec: SweepSpec) -> AllgatherEvaluator:
 def compute_cell(spec: SweepSpec, cell: str) -> Dict:
     """Price one grid cell; returns the JSON-serialisable checkpoint payload.
 
-    Deterministic given ``(spec, cell)``: reordering seeds come from the
-    layout/mapper content, so recomputing a cell on resume (or in a
-    different process) reproduces the original bytes.  Two bookkeeping
-    keys ride along without affecting the merged sweep: ``fingerprint``
-    (the spec fingerprint, so a resume or fabric merge can reject a cell
-    journaled under a different spec) and ``compute_seconds`` (wall
-    seconds this computation took, feeding the cell-cost histogram and
-    the fabric shard planner's cost balancing).
+    :func:`~repro.bench.microbench.price_cell` against this process's
+    evaluator for ``spec``.  Two bookkeeping keys ride along without
+    affecting the merged sweep: ``fingerprint`` (the spec fingerprint,
+    so a resume or fabric merge can reject a cell journaled under a
+    different spec) and ``compute_seconds`` (wall seconds this
+    computation took, feeding the cell-cost histogram and the fabric
+    shard planner's cost balancing).
     """
     t0 = time.perf_counter()
     delay = float(os.environ.get(CELL_DELAY_ENV, "0") or 0)
     if delay > 0:
         time.sleep(delay)
     ev = _evaluator_for(spec)
-    p = ev.cluster.n_cores
-    sizes = list(spec.sizes)
-    parts = cell.split("::")
-    L = make_layout(parts[1], ev.cluster, p)
-    if parts[0] == "base":
-        reports = ev.default_latencies(L, sizes, spec.hierarchical, spec.intra)
-        payload = {
-            "cell": cell,
-            "kind": "base",
-            "layout": parts[1],
-            "reports": [asdict(r) for r in reports],
-        }
-    elif parts[0] == "tuned":
-        mapper = parts[2]
-        by_strategy = {
-            strategy: [
-                asdict(r)
-                for r in ev.reordered_latencies(
-                    L, sizes, mapper, strategy, spec.hierarchical, spec.intra
-                )
-            ]
-            for strategy in spec.strategies
-        }
-        payload = {
-            "cell": cell,
-            "kind": "tuned",
-            "layout": parts[1],
-            "mapper": mapper,
-            "strategies": by_strategy,
-        }
-    else:
-        raise ValueError(f"unknown cell id {cell!r}")
+    payload = price_cell(
+        ev, ev.cluster.n_cores, cell, spec.sizes, spec.strategies,
+        spec.hierarchical, spec.intra,
+    )
     payload["fingerprint"] = spec.fingerprint()
     payload["compute_seconds"] = time.perf_counter() - t0
     return payload
@@ -245,15 +245,12 @@ class CheckpointedSweep:
 
     # ------------------------------------------------------------------
     @classmethod
-    def resume(
-        cls,
-        out_dir,
-        workers: Optional[int] = None,
-        max_retries: int = 2,
-        cell_timeout: Optional[float] = None,
-        backoff_seconds: float = 0.25,
-    ) -> "CheckpointedSweep":
-        """Reopen a journal dir; the spec comes from its manifest."""
+    def resume(cls, out_dir, **options) -> "CheckpointedSweep":
+        """Reopen a journal dir; the spec comes from its manifest.
+
+        ``options`` are the constructor's (``workers``, ``max_retries``,
+        ``cell_timeout``, ``backoff_seconds``).
+        """
         out_dir = Path(out_dir)
         manifest = out_dir / "manifest.json"
         if not manifest.is_file():
@@ -264,19 +261,12 @@ class CheckpointedSweep:
         try:
             payload = json.loads(manifest.read_text())
             spec = SweepSpec.from_dict(payload["spec"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(
                 f"{manifest}: corrupt sweep manifest ({exc}); "
                 "delete the journal dir and rerun the sweep from scratch"
             ) from exc
-        return cls(
-            spec,
-            out_dir,
-            workers=workers,
-            max_retries=max_retries,
-            cell_timeout=cell_timeout,
-            backoff_seconds=backoff_seconds,
-        )
+        return cls(spec, out_dir, **options)
 
     # ------------------------------------------------------------------
     @property
@@ -284,7 +274,7 @@ class CheckpointedSweep:
         return self.out_dir / "cells"
 
     def _cell_path(self, cell: str) -> Path:
-        return self.cells_dir / _cell_filename(cell)
+        return self.cells_dir / cell_filename(cell)
 
     def _load_cell(self, cell: str) -> Optional[Dict]:
         """A cell's checkpoint, or None if absent/torn/mismatched."""
@@ -376,7 +366,11 @@ class CheckpointedSweep:
         whoever assembles the same ``done`` payloads emits byte-identical
         output.
         """
-        points = self._merge(done)
+        spec = self.spec
+        points = points_from_cells(
+            done, spec.layouts, spec.sizes, spec.mappers, spec.strategies,
+            spec.hierarchical, spec.intra,
+        )
         atomic_write_json(
             self.out_dir / "sweep.json",
             {
@@ -419,11 +413,7 @@ class CheckpointedSweep:
             pending = retry
 
         result.n_computed = len(done) - result.n_resumed
-        result.cell_seconds = {
-            cell: float(payload["compute_seconds"])
-            for cell, payload in done.items()
-            if isinstance(payload.get("compute_seconds"), (int, float))
-        }
+        result.cell_seconds = cell_costs(done)
         if result.quarantined:
             atomic_write_json(self.out_dir / "quarantine.json", result.quarantined)
         result.points = self.write_merged(done)
@@ -482,40 +472,3 @@ class CheckpointedSweep:
             finally:
                 pool.shutdown(wait=False, cancel_futures=True)
         return failures
-
-    # ------------------------------------------------------------------
-    def _merge(self, done: Dict[str, Dict]) -> List[SweepPoint]:
-        """Checkpoints -> SweepPoints, in the canonical `_sweep` order.
-
-        Quarantined cells are skipped (their points are absent); a
-        quarantined base cell drops its whole layout, since improvement
-        percentages need the baseline.
-        """
-        spec = self.spec
-        points: List[SweepPoint] = []
-        for lname in spec.layouts:
-            base = done.get(f"base::{lname}")
-            if base is None:
-                continue
-            base_reports = [LatencyReport(**d) for d in base["reports"]]
-            for si, bb in enumerate(spec.sizes):
-                for mapper in spec.mappers:
-                    tuned = done.get(f"tuned::{lname}::{mapper}")
-                    if tuned is None:
-                        continue
-                    for strategy in spec.strategies:
-                        rep = LatencyReport(**tuned["strategies"][strategy][si])
-                        points.append(
-                            SweepPoint(
-                                layout=lname,
-                                block_bytes=int(bb),
-                                mapper=mapper,
-                                strategy=strategy,
-                                hierarchical=spec.hierarchical,
-                                intra=spec.intra,
-                                algorithm=rep.algorithm,
-                                base_us=base_reports[si].seconds * 1e6,
-                                tuned_us=rep.seconds * 1e6,
-                            )
-                        )
-        return points

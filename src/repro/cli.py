@@ -4,8 +4,8 @@ The subcommands mirror the paper's workflow:
 
 * ``topo``      — describe a simulated cluster (structure, distance
   ladder, cost-model calibration probes);
-* ``sweep``     — micro-benchmark sweep (Fig. 3/4 style tables); also
-  the crash-safe journaled runner (``--out-dir`` / ``--resume``) and the
+* ``sweep``     — micro-benchmark sweep (Fig. 3/4 style tables) through
+  the crash-safe journaled runner (``--out-dir`` / ``--resume``), and the
   distributed sweep fabric (``--fabric`` worker loop, ``--merge``
   fingerprint-verified combine, ``--status`` read-only inspector);
 * ``app``       — application study (Fig. 5/6 style tables);
@@ -35,16 +35,20 @@ Simulation commands accept ``--nodes`` to size the GPC-class cluster
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import List, Optional
+import tempfile
+from contextlib import nullcontext
+from typing import Callable, List, Optional
 
 
 from repro.apps.matvec import MatVecApp
 from repro.apps.solver import IterativeSolverApp
 from repro.apps.nbody import NBodyApp
 from repro.apps.trace import AppRunner
-from repro.bench.microbench import OSU_SIZES, sweep_hierarchical, sweep_nonhierarchical
+from repro.bench.microbench import OSU_SIZES
 from repro.bench.report import format_sweep_table
+from repro.bench.runner import CheckpointedSweep, SweepSpec
 from repro.evaluation.adaptive import AdaptiveReorderer
 from repro.evaluation.calibration import calibrate, calibration_report
 from repro.evaluation.evaluator import AllgatherEvaluator
@@ -64,6 +68,26 @@ QUICK_SIZES = [1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144]
 VERIFY_P_SWEEP = [2, 3, 4, 7, 8, 16, 17, 32, 64]
 
 
+def _checked(cast: Callable, ok: Callable, what: str) -> Callable:
+    """argparse ``type=``: ``cast`` the text and reject values failing ``ok``."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected a {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v > 0, "positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "non-negative integer")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "positive number")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -72,7 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_nodes(p):
-        p.add_argument("--nodes", type=int, default=32, help="compute nodes (8 cores each)")
+        p.add_argument(
+            "--nodes", type=_positive_int, default=32, help="compute nodes (8 cores each)"
+        )
 
     p_topo = sub.add_parser("topo", help="describe the simulated cluster")
     add_nodes(p_topo)
@@ -90,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--layouts", nargs="+", default=None, choices=sorted(INITIAL_LAYOUTS),
     )
     p_sweep.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_positive_int, default=None,
         help="fan (layout, mapper) grid cells out over N processes",
     )
     p_sweep.add_argument(
@@ -104,12 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
         "skipping completed cells (other grid flags are ignored)",
     )
     p_sweep.add_argument(
-        "--max-retries", type=int, default=2,
-        help="per-cell retries before quarantining it (checkpointed runs)",
+        "--max-retries", type=_non_negative_int, default=2,
+        help="per-cell retries before quarantining it",
     )
     p_sweep.add_argument(
-        "--cell-timeout", type=float, default=None,
-        help="per-cell timeout in seconds (checkpointed parallel runs)",
+        "--cell-timeout", type=_positive_float, default=None,
+        help="per-cell timeout in seconds (parallel runs)",
     )
     p_sweep.add_argument(
         "--fabric", default=None, metavar="DIR",
@@ -202,16 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
         "perf", help="time the batched sweep pipeline vs. the naive per-size loop"
     )
     p_perf.add_argument(
-        "--nodes", type=int, default=None,
+        "--nodes", type=_positive_int, default=None,
         help="compute nodes (8 cores each; default 32, or 8 with --quick)",
     )
     p_perf.add_argument(
         "--quick", action="store_true",
         help="reduced grid for CI smoke runs (fewer sizes/layouts/mappers)",
-    )
-    p_perf.add_argument(
-        "--workers", type=int, default=None,
-        help="fan (layout, mapper) grid cells out over N processes",
     )
     p_perf.add_argument("--repeats", type=int, default=1, help="best-of-N timing")
     p_perf.add_argument(
@@ -382,78 +404,61 @@ def _cmd_topo(args) -> int:
     return 0
 
 
+def _spec_from_args(args) -> SweepSpec:
+    """The sweep grid named by ``repro sweep``'s grid flags."""
+    if args.hierarchical:
+        layouts = args.layouts or ["block-bunch", "block-scatter"]
+    else:
+        layouts = args.layouts or sorted(INITIAL_LAYOUTS)
+    return SweepSpec(
+        n_nodes=args.nodes,
+        layouts=tuple(layouts),
+        sizes=tuple(OSU_SIZES if args.full_sizes else QUICK_SIZES),
+        mappers=tuple(args.mappers),
+        hierarchical=args.hierarchical,
+        intra=args.intra,
+    )
+
+
 def _cmd_sweep(args) -> int:
+    """Sweep table through :class:`CheckpointedSweep`.
+
+    The journal goes to ``--out-dir`` (or is reopened by ``--resume``);
+    without either it lives in a temporary directory removed on exit.
+    """
     if args.status is not None:
         return _cmd_sweep_status(args)
     if args.merge is not None:
         return _cmd_sweep_merge(args)
     if args.fabric is not None:
         return _cmd_sweep_fabric(args)
-    if args.resume is not None or args.out_dir is not None:
-        return _cmd_sweep_checkpointed(args)
-    cluster = gpc_cluster(n_nodes=args.nodes)
-    p = cluster.n_cores
-    ev = AllgatherEvaluator(cluster, rng=0)
-    sizes = OSU_SIZES if args.full_sizes else QUICK_SIZES
-    if args.hierarchical:
-        layouts = args.layouts or ["block-bunch", "block-scatter"]
-        points = sweep_hierarchical(
-            ev, p, layouts=layouts, sizes=sizes, mappers=args.mappers, intra=args.intra,
-            workers=args.workers,
-        )
-        title = f"Hierarchical ({args.intra}) allgather improvement %, p={p}"
-    else:
-        layouts = args.layouts or sorted(INITIAL_LAYOUTS)
-        points = sweep_nonhierarchical(
-            ev, p, layouts=layouts, sizes=sizes, mappers=args.mappers,
-            workers=args.workers,
-        )
-        title = f"Non-hierarchical allgather improvement %, p={p}"
-    print(format_sweep_table(points, title=title))
-    return 0
-
-
-def _cmd_sweep_checkpointed(args) -> int:
-    """Crash-safe journaled sweep (``--out-dir``) or its resume (``--resume``)."""
-    from repro.bench.runner import CheckpointedSweep, SweepSpec
-
-    if args.resume is not None:
-        sweep = CheckpointedSweep.resume(
-            args.resume,
-            workers=args.workers,
-            max_retries=args.max_retries,
-            cell_timeout=args.cell_timeout,
-        )
-    else:
-        sizes = OSU_SIZES if args.full_sizes else QUICK_SIZES
-        if args.hierarchical:
-            layouts = args.layouts or ["block-bunch", "block-scatter"]
-        else:
-            layouts = args.layouts or sorted(INITIAL_LAYOUTS)
-        spec = SweepSpec(
-            n_nodes=args.nodes,
-            layouts=tuple(layouts),
-            sizes=tuple(sizes),
-            mappers=tuple(args.mappers),
-            hierarchical=args.hierarchical,
-            intra=args.intra,
-        )
-        sweep = CheckpointedSweep(
-            spec,
-            args.out_dir,
-            workers=args.workers,
-            max_retries=args.max_retries,
-            cell_timeout=args.cell_timeout,
-        )
-    result = sweep.run()
-    spec = sweep.spec
-    kind = "Hierarchical" if spec.hierarchical else "Non-hierarchical"
-    p = 8 * spec.n_nodes
-    print(format_sweep_table(result.points, title=f"{kind} allgather improvement %, p={p}"))
-    print(
-        f"\njournal: {result.out_dir}  "
-        f"(resumed {result.n_resumed}, computed {result.n_computed} cells)"
+    opts = dict(
+        workers=args.workers, max_retries=args.max_retries, cell_timeout=args.cell_timeout
     )
+    journal = args.resume or args.out_dir
+    out_dir = nullcontext(journal) if journal else tempfile.TemporaryDirectory()
+    try:
+        with out_dir as out:
+            if args.resume is not None:
+                sweep = CheckpointedSweep.resume(out, **opts)
+            else:
+                sweep = CheckpointedSweep(_spec_from_args(args), out, **opts)
+            result = sweep.run()
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"error: {exc}")
+        return 2
+    spec = sweep.spec
+    p = 8 * spec.n_nodes
+    if spec.hierarchical:
+        title = f"Hierarchical ({spec.intra}) allgather improvement %, p={p}"
+    else:
+        title = f"Non-hierarchical allgather improvement %, p={p}"
+    print(format_sweep_table(result.points, title=title))
+    if journal:
+        print(
+            f"\njournal: {result.out_dir}  "
+            f"(resumed {result.n_resumed}, computed {result.n_computed} cells)"
+        )
     if result.degraded_to_serial:
         print("warning: process pool died; finished the sweep serially")
     for cell, err in sorted(result.quarantined.items()):
@@ -466,25 +471,10 @@ def _cmd_sweep_fabric(args) -> int:
     from pathlib import Path
 
     from repro.bench.fabric import FabricWorker
-    from repro.bench.runner import SweepSpec
 
     out = Path(args.fabric)
-    spec = None
-    if not (out / "manifest.json").is_file():
-        sizes = OSU_SIZES if args.full_sizes else QUICK_SIZES
-        if args.hierarchical:
-            layouts = args.layouts or ["block-bunch", "block-scatter"]
-        else:
-            layouts = args.layouts or sorted(INITIAL_LAYOUTS)
-        spec = SweepSpec(
-            n_nodes=args.nodes,
-            layouts=tuple(layouts),
-            sizes=tuple(sizes),
-            mappers=tuple(args.mappers),
-            hierarchical=args.hierarchical,
-            intra=args.intra,
-        )
     try:
+        spec = None if (out / "manifest.json").is_file() else _spec_from_args(args)
         worker = FabricWorker(
             out,
             spec=spec,
@@ -752,7 +742,6 @@ def _cmd_perf(args) -> int:
     n_nodes = args.nodes if args.nodes is not None else (8 if args.quick else 32)
     report = run_perf(
         n_nodes=n_nodes,
-        workers=args.workers,
         quick=args.quick,
         repeats=args.repeats,
         profile=args.profile,

@@ -185,19 +185,15 @@ class SchedulePricing:
         # Fused evaluation tables: every stage's Pareto envelope
         # concatenated into one flat alpha/drain pair plus the reduceat
         # segment starts, so pricing a size vector is one broadcast and
-        # one segmented max instead of a numpy pass per stage.  Envelopes
-        # are never empty for non-empty stages (the Pareto keep-mask
-        # always retains at least one line), but reduceat cannot express
-        # empty segments, so empty schedules — or a degenerate stage with
-        # no messages — keep the reference path.
-        if self.stages and all(s.env_alpha.size > 0 for s in self.stages):
-            self._fused_alpha = np.concatenate([s.env_alpha for s in self.stages])
-            self._fused_drain = np.concatenate([s.env_drain for s in self.stages])
-            counts = np.array([s.env_alpha.size for s in self.stages], dtype=np.int64)
-            self._fused_starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-            self._fused_repeats = [float(s.repeat) for s in self.stages]
-        else:
-            self._fused_alpha = None
+        # one segmented max instead of a numpy pass per stage.  reduceat
+        # cannot express empty segments, but none arise: ``Schedule``
+        # rejects empty schedules and message-less stages, and the Pareto
+        # keep-mask retains at least one line of every non-empty stage.
+        self._fused_alpha = np.concatenate([s.env_alpha for s in self.stages])
+        self._fused_drain = np.concatenate([s.env_drain for s in self.stages])
+        counts = np.array([s.env_alpha.size for s in self.stages], dtype=np.int64)
+        self._fused_starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+        self._fused_repeats = [float(s.repeat) for s in self.stages]
 
     def evaluate_sizes(
         self, sizes: Sequence[float], extra_copy_bytes: float = 0.0
@@ -213,8 +209,6 @@ class SchedulePricing:
         the reference's left-to-right order, so every intermediate
         rounding matches.
         """
-        if self._fused_alpha is None:
-            return self.evaluate_sizes_reference(sizes, extra_copy_bytes)
         sz = self._check_sizes(sizes)
         vals = self._fused_alpha[None, :] + sz[:, None] * self._fused_drain[None, :]
         stage_max = np.maximum.reduceat(vals, self._fused_starts, axis=1)
@@ -463,44 +457,16 @@ class TimingEngine:
             raise ValueError("mapping references cores outside the cluster")
         return M
 
-    def _price_stage(self, stage: Stage, mapping: np.ndarray) -> StagePricing:
-        """Size-independent route / alpha / unit-load tables for one stage."""
-        src_cores = mapping[stage.src]
-        dst_cores = mapping[stage.dst]
-        routes = self.cluster.routes_for(src_cores, dst_cores)
-        valid = routes >= 0
-        safe = np.where(valid, routes, 0)
-
-        # Per-link load for a 1-byte block; the real load is linear in the
-        # block size, so one bincount serves every size.
-        unit_weights = np.broadcast_to(stage.units[:, None], routes.shape)[valid]
-        unit_load = np.bincount(
-            routes[valid], weights=unit_weights, minlength=self.cluster.n_links
-        )
-        alpha_sum = np.where(valid, self._alpha[safe], 0.0).sum(axis=1)
-        unit_drain = np.where(valid, self._beta[safe] * unit_load[safe], 0.0).max(axis=1)
-        env_alpha, env_drain = _pareto_envelope(alpha_sum, unit_drain)
-        return StagePricing(
-            label=stage.label,
-            repeat=stage.repeat,
-            n_messages=stage.n_messages,
-            env_alpha=env_alpha,
-            env_drain=env_drain,
-            unit_load_max=float(unit_load.max()) if unit_load.size else 0.0,
-        )
-
     def _price_schedule(self, schedule: Schedule, mapping: np.ndarray) -> List[StagePricing]:
         """Price every stage of ``schedule`` in one vectorised pass.
 
         All stage messages are concatenated so the route lookup and the
         per-link unit-load bincount run once per schedule instead of once
         per stage; per-stage loads live in disjoint ``stage * n_links``
-        bins.  Per-bin summation order matches the per-stage path, so the
-        tables are bit-identical to pricing each stage alone.
+        bins.  Each bin sums only its own stage's messages, in message
+        order, so the tables are bit-identical to pricing each stage alone.
         """
         stages = schedule.stages
-        if len(stages) <= 1:
-            return [self._price_stage(s, mapping) for s in stages]
         counts = np.array([s.src.size for s in stages], dtype=np.int64)
         bounds = np.concatenate(([0], np.cumsum(counts)))
         src = np.concatenate([np.asarray(s.src) for s in stages])
@@ -511,8 +477,8 @@ class TimingEngine:
         valid = routes >= 0
         safe = np.where(valid, routes, 0)
         n_links = self.cluster.n_links
-        stage_idx = np.repeat(np.arange(len(stages), dtype=np.int64), counts)
-        flat = stage_idx[:, None] * n_links + safe
+        stage_base = np.repeat(np.arange(len(stages), dtype=np.int64) * n_links, counts)
+        flat = stage_base[:, None] + safe
 
         unit_weights = np.broadcast_to(units[:, None], routes.shape)[valid]
         unit_load = np.bincount(

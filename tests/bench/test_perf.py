@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.microbench import _sweep, sweep_nonhierarchical
+from repro.bench.microbench import _sweep
 from repro.bench.perf import PerfReport, naive_sweep, run_perf
 from repro.evaluation.evaluator import AllgatherEvaluator
 
@@ -28,7 +28,7 @@ class TestEquivalence:
         naive = naive_sweep(evaluator, 64, **SMALL)
         batched = _sweep(
             evaluator, 64, SMALL["layouts"], SMALL["sizes"], SMALL["mappers"],
-            SMALL["strategies"], False, "binomial", None,
+            SMALL["strategies"], False, "binomial",
         )
         assert len(naive) == len(batched)
         for a, b in zip(naive, batched):
@@ -38,14 +38,6 @@ class TestEquivalence:
             assert a.algorithm == b.algorithm
             assert b.base_us == pytest.approx(a.base_us, rel=1e-9)
             assert b.tuned_us == pytest.approx(a.tuned_us, rel=1e-9)
-
-    def test_workers_sweep_matches_serial(self, evaluator):
-        """The process-pool fan-out reproduces the serial sweep exactly."""
-        serial = sweep_nonhierarchical(evaluator, 64, **SMALL)
-        parallel = sweep_nonhierarchical(evaluator, 64, workers=2, **SMALL)
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert a == b  # frozen dataclasses: full field equality
 
 
 class TestRunPerf:

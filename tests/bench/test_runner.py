@@ -120,6 +120,37 @@ class TestCheckpointedRun:
         with pytest.raises(ValueError, match="cell_timeout"):
             CheckpointedSweep(SPEC, tmp_path, cell_timeout=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_nodes", 0),
+            ("n_nodes", -1),
+            ("layouts", ("nope",)),
+            ("layouts", ()),
+            ("mappers", ("bogus",)),
+            ("strategies", ("xx",)),
+            ("strategies", ()),
+            ("sizes", (0,)),
+            ("sizes", ()),
+            ("intra", "ring"),
+        ],
+    )
+    def test_invalid_spec_rejected_before_manifest(self, tmp_path, field, value):
+        kwargs = dict(n_nodes=2, layouts=("block-bunch",), sizes=(64,))
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            CheckpointedSweep(SweepSpec(**kwargs), tmp_path / "j").run()
+        assert not (tmp_path / "j" / "manifest.json").exists()
+
+    def test_resume_rejects_invalid_manifest_spec(self, tmp_path):
+        out = tmp_path / "j"
+        CheckpointedSweep(SPEC, out).run()
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["spec"]["layouts"] = ["nope"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="corrupt sweep manifest"):
+            CheckpointedSweep.resume(out)
+
 
 class TestFailureHandling:
     def test_flaky_cell_retried(self, tmp_path, monkeypatch):

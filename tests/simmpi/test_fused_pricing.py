@@ -63,6 +63,25 @@ class TestFusedPricingIdentity:
         ref = pricing.evaluate_sizes_reference(SIZES)
         assert np.array_equal(fused.total_seconds, ref.total_seconds)
 
+    def test_single_stage_initcomm_bit_identical(self, mid_cluster, mid_engine):
+        """The initComm pre-stage is a one-stage schedule, priced on every
+        initComm restore: it takes the same fused path as any other."""
+        from repro.collectives.correctness import RankReordering, init_comm_stage
+        from repro.collectives.schedule import Schedule
+        from repro.mapping.initial import make_layout
+        from repro.mapping.reorder import reorder_ranks
+
+        L = make_layout("cyclic-scatter", mid_cluster, 64)
+        res = reorder_ranks("recursive-doubling", L, mid_cluster.implicit_distances(), rng=0)
+        reordering = RankReordering(layout=L, mapping=res.mapping)
+        pre = Schedule(p=64, stages=[init_comm_stage(reordering)], name="initcomm")
+        pricing = mid_engine.pricing(pre, reordering.mapping)
+        assert len(pricing.stages) == 1
+        fused = pricing.evaluate_sizes(SIZES)
+        ref = pricing.evaluate_sizes_reference(SIZES)
+        assert np.array_equal(fused.total_seconds, ref.total_seconds)
+        assert np.array_equal(fused.local_copy_seconds, ref.local_copy_seconds)
+
     def test_fused_tables_shape(self, mid_cluster, mid_engine):
         sched = make_algorithm("recursive-doubling").schedule(64)
         M = np.arange(64, dtype=np.int64)

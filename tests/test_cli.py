@@ -1,5 +1,7 @@
 """CLI tests (python -m repro ...)."""
 
+import tempfile
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -30,6 +32,26 @@ class TestParser:
         assert args.max_retries == 5
         assert args.cell_timeout == 2.5
         assert args.resume is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--nodes", "0"],
+            ["sweep", "--nodes", "-1"],
+            ["topo", "--nodes", "0"],
+            ["sweep", "--workers", "0"],
+            ["sweep", "--workers", "-2"],
+            ["sweep", "--max-retries", "-1"],
+            ["sweep", "--cell-timeout", "0"],
+            ["sweep", "--cell-timeout", "nan"],
+            ["perf", "--nodes", "0"],
+        ],
+    )
+    def test_out_of_range_values_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_faults_requires_fail_nodes(self):
         with pytest.raises(SystemExit):
@@ -73,6 +95,31 @@ class TestCommands:
         assert (tmp_path / "j" / "sweep.json").is_file()
         assert main(["sweep", "--resume", str(tmp_path / "j")]) == 0
         assert "resumed 2, computed 0" in capsys.readouterr().out
+
+    def test_sweep_journal_errors_are_clean(self, tmp_path, capsys):
+        flags = [
+            "sweep", "--nodes", "2", "--layouts", "block-bunch",
+            "--mappers", "heuristic", "--out-dir", str(tmp_path / "j"),
+        ]
+        assert main(flags) == 0
+        capsys.readouterr()
+        assert main(flags + ["--full-sizes"]) == 2
+        assert "error:" in capsys.readouterr().out
+        assert main(["sweep", "--resume", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().out
+
+    def test_sweep_workers_matches_serial_without_journal(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        flags = ["sweep", "--nodes", "2", "--layouts", "block-bunch", "--mappers", "heuristic"]
+        assert main(flags) == 0
+        serial = capsys.readouterr().out
+        assert main(flags + ["--workers", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert parallel == serial
+        assert "journal:" not in parallel
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_faults(self, capsys):
         rc = main(["faults", "--nodes", "8", "--fail-nodes", "7",
