@@ -1,14 +1,17 @@
-"""Self-timing harness: batched sweep pipeline vs. the naive per-size loop.
+"""Self-timing harness: batched sweep pipeline vs. the naive per-point loop.
 
 Every paper figure is a sweep over message sizes × layouts × mappers ×
 restoration strategies, and for a fixed (schedule, mapping) the routes,
 alpha-sums and per-link *unit* loads are size-independent — the batched
 pipeline (``TimingEngine.evaluate_sizes`` + the evaluator's
 ``*_latencies`` methods) computes them once per algorithm partition
-instead of once per point.  This harness times both pipelines on the same
-Fig. 3 sweep shape, cross-checks that they produce identical latencies,
-and persists the measurement to ``BENCH_sweep.json`` so the repo carries
-a perf trajectory across PRs.  ``python -m repro perf`` wraps it.
+instead of once per point.  :func:`naive_sweep` is that pipeline's
+oracle: it prices every point alone through ``TimingEngine.evaluate``
+and applies the restoration rules itself.  This harness times both on
+the same Fig. 3 sweep shape, cross-checks that they produce identical
+latencies, and persists the measurement to ``BENCH_sweep.json`` so the
+repo carries a perf trajectory across PRs.  ``python -m repro perf``
+wraps it.
 
 Both pipelines are timed with the one-time rank reorderings precomputed
 (the paper's setting: "the whole rank reordering process happens only
@@ -27,6 +30,14 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.bench.microbench import OSU_SIZES, SweepPoint, _sweep
+from repro.collectives.correctness import (
+    OrderStrategy,
+    RankReordering,
+    end_shuffle_seconds,
+    init_comm_stage,
+)
+from repro.collectives.registry import pattern_of, select_allgather
+from repro.collectives.schedule import Schedule
 from repro.evaluation.evaluator import AllgatherEvaluator
 from repro.mapping.initial import make_layout
 from repro.mapping.reorder import HEURISTICS
@@ -38,6 +49,7 @@ __all__ = [
     "naive_sweep",
     "run_perf",
     "DEFAULT_BENCH_PATH",
+    "MAX_REL_DIFF",
     "MappingPerfCase",
     "MappingPerfReport",
     "run_mapping_perf",
@@ -48,6 +60,11 @@ __all__ = [
 
 #: Where ``run_perf`` persists its measurement by default.
 DEFAULT_BENCH_PATH = "BENCH_sweep.json"
+
+#: Largest relative batched-vs-oracle latency difference ``repro perf``
+#: accepts (floating-point reassociation only; both paths price the same
+#: messages).
+MAX_REL_DIFF = 1e-9
 
 #: Where ``run_mapping_perf`` persists its measurement by default.
 DEFAULT_MAPPING_BENCH_PATH = "BENCH_mappings.json"
@@ -129,6 +146,33 @@ class PerfReport:
         return path
 
 
+def _restore_seconds(
+    evaluator: AllgatherEvaluator,
+    algorithm,
+    reordering: RankReordering,
+    strategy: str,
+    block_bytes: float,
+) -> float:
+    """Per-call order-restoration cost of one point (paper §V-B).
+
+    No reordering, or the ring's inline placement, costs nothing;
+    initComm is one extra message stage priced on its own; endShfl is
+    the local copy cost.
+    """
+    if reordering.is_identity() or getattr(algorithm, "supports_inline_placement", False):
+        return 0.0
+    strat = OrderStrategy.parse(strategy)
+    if strat is OrderStrategy.INIT_COMM:
+        stage = init_comm_stage(reordering)
+        if stage is None:
+            return 0.0
+        pre = Schedule(p=reordering.p, stages=[stage], name="initcomm")
+        return evaluator.engine.evaluate(pre, reordering.mapping, block_bytes).total_seconds
+    if strat is OrderStrategy.END_SHUFFLE:
+        return end_shuffle_seconds(reordering, block_bytes, evaluator.cost)
+    raise ValueError(f"strategy {strat} not usable for {algorithm.name}")
+
+
 def naive_sweep(
     evaluator: AllgatherEvaluator,
     p: int,
@@ -137,20 +181,28 @@ def naive_sweep(
     mappers: Sequence[str],
     strategies: Sequence[str],
 ) -> List[SweepPoint]:
-    """The seed pipeline: size loop outermost, every point priced alone.
+    """The reference pipeline: size loop outermost, every point priced alone.
 
     Each point re-selects the algorithm, rebuilds its schedule and
-    re-prices it from scratch through :meth:`TimingEngine.evaluate` —
-    the reference the batched pipeline is timed against.
+    re-prices it from scratch through :meth:`TimingEngine.evaluate`,
+    then adds the restoration cost by the rules of
+    :func:`_restore_seconds`.  Only the one-time reorderings
+    (:meth:`AllgatherEvaluator.flat_reordering`) are shared with the
+    batched pipeline; no evaluator latency method runs here, so this is
+    the oracle the batched pipeline is checked and timed against.
     """
+    engine = evaluator.engine
     points: List[SweepPoint] = []
     for lname in layouts:
         L = make_layout(lname, evaluator.cluster, p)
         for bb in sizes:
-            base = evaluator.default_latency(L, bb)
+            alg = select_allgather(p, bb, evaluator.rd_threshold)
+            base = engine.evaluate(alg.schedule(p), L, bb).total_seconds
             for mapper in mappers:
+                res = evaluator.flat_reordering(L, pattern_of(alg), mapper)
                 for strategy in strategies:
-                    tuned = evaluator.reordered_latency(L, bb, mapper, strategy)
+                    coll = engine.evaluate(alg.schedule(p), res.mapping, bb).total_seconds
+                    restore = _restore_seconds(evaluator, alg, res.reordering, strategy, bb)
                     points.append(
                         SweepPoint(
                             layout=lname,
@@ -159,9 +211,9 @@ def naive_sweep(
                             strategy=strategy,
                             hierarchical=False,
                             intra="binomial",
-                            algorithm=tuned.algorithm,
-                            base_us=base.seconds * 1e6,
-                            tuned_us=tuned.seconds * 1e6,
+                            algorithm=alg.name,
+                            base_us=base * 1e6,
+                            tuned_us=(coll + restore) * 1e6,
                         )
                     )
     return points

@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_perf.add_argument("--repeats", type=int, default=1, help="best-of-N timing")
     p_perf.add_argument(
-        "--out", default="BENCH_sweep.json", help="where to write the JSON measurement"
+        "--out", default=None,
+        help="where to write the JSON measurement (default: BENCH_<mode>.json)",
     )
     p_perf.add_argument(
         "--min-speedup", type=float, default=1.0,
@@ -662,12 +663,18 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    from repro.bench.perf import run_mapping_perf, run_perf
+    from repro.bench.perf import (
+        DEFAULT_BENCH_PATH,
+        DEFAULT_MAPPING_BENCH_PATH,
+        MAX_REL_DIFF,
+        run_mapping_perf,
+        run_perf,
+    )
 
     if args.serve:
         from repro.bench.serveperf import DEFAULT_SERVE_BENCH_PATH, run_serve_perf
 
-        out = args.out if args.out != "BENCH_sweep.json" else DEFAULT_SERVE_BENCH_PATH
+        out = args.out or DEFAULT_SERVE_BENCH_PATH
         report = run_serve_perf(
             n_nodes=args.nodes,
             quick=args.quick,
@@ -690,7 +697,7 @@ def _cmd_perf(args) -> int:
     if args.fabric:
         from repro.bench.fabricperf import DEFAULT_FABRIC_BENCH_PATH, run_fabric_perf
 
-        out = args.out if args.out != "BENCH_sweep.json" else DEFAULT_FABRIC_BENCH_PATH
+        out = args.out or DEFAULT_FABRIC_BENCH_PATH
         report = run_fabric_perf(
             n_nodes=args.nodes,
             workers_list=args.fabric_workers,
@@ -712,7 +719,7 @@ def _cmd_perf(args) -> int:
         return 0
 
     if args.mappings:
-        out = args.out if args.out != "BENCH_sweep.json" else "BENCH_mappings.json"
+        out = args.out or DEFAULT_MAPPING_BENCH_PATH
         report = run_mapping_perf(
             p_values=args.p_values if args.p_values else None,
             repeats=max(args.repeats, 1 if args.quick else 5),
@@ -740,15 +747,22 @@ def _cmd_perf(args) -> int:
         return 0
 
     n_nodes = args.nodes if args.nodes is not None else (8 if args.quick else 32)
+    out = args.out or DEFAULT_BENCH_PATH
     report = run_perf(
         n_nodes=n_nodes,
         quick=args.quick,
         repeats=args.repeats,
         profile=args.profile,
-        out_path=args.out,
+        out_path=out,
     )
     print(report.summary())
-    print(f"measurement written to {args.out}")
+    print(f"measurement written to {out}")
+    if report.max_rel_diff > MAX_REL_DIFF:
+        print(
+            f"FAIL: batched latencies differ from the oracle by "
+            f"{report.max_rel_diff:.3e} (bound {MAX_REL_DIFF:.0e})"
+        )
+        return 1
     if report.speedup < args.min_speedup:
         print(
             f"FAIL: speedup {report.speedup:.2f}x below required {args.min_speedup:.2f}x"

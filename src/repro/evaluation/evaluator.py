@@ -152,30 +152,6 @@ class AllgatherEvaluator:
             groups.setdefault(int(nodes[rank]), []).append(rank)
         return [groups[n] for n in sorted(groups)]
 
-    def _restore(
-        self,
-        strategy: OrderStrategy,
-        algorithm,
-        reordering: RankReordering,
-        block_bytes: float,
-    ) -> Tuple[str, float]:
-        """Effective strategy name and its per-call cost."""
-        if reordering.is_identity():
-            return OrderStrategy.NONE.value, 0.0
-        if getattr(algorithm, "supports_inline_placement", False):
-            # Paper §V-B: the ring resolves ordering inside the algorithm.
-            return OrderStrategy.INLINE.value, 0.0
-        if strategy is OrderStrategy.INIT_COMM:
-            stage = init_comm_stage(reordering)
-            if stage is None:
-                return OrderStrategy.NONE.value, 0.0
-            pre = Schedule(p=reordering.p, stages=[stage], name="initcomm")
-            cost = self.engine.evaluate(pre, reordering.mapping, block_bytes).total_seconds
-            return strategy.value, cost
-        if strategy is OrderStrategy.END_SHUFFLE:
-            return strategy.value, end_shuffle_seconds(reordering, block_bytes, self.cost)
-        raise ValueError(f"strategy {strategy} not usable for {algorithm.name}")
-
     def _restore_sizes(
         self,
         strat: OrderStrategy,
@@ -183,7 +159,11 @@ class AllgatherEvaluator:
         reordering: RankReordering,
         sizes: Sequence[float],
     ) -> Tuple[str, np.ndarray]:
-        """Batched :meth:`_restore`: one cost per size, priced together."""
+        """Effective restoration strategy and its per-call cost at each size.
+
+        Identity and the ring's inline fix cost nothing; initComm is
+        priced as one extra message stage, endShfl as local copies.
+        """
         zeros = np.zeros(len(sizes), dtype=np.float64)
         if reordering.is_identity():
             return OrderStrategy.NONE.value, zeros
@@ -239,13 +219,13 @@ class AllgatherEvaluator:
         hierarchical: bool = False,
         intra: str = "binomial",
     ) -> List[LatencyReport]:
-        """Batched :meth:`default_latency`: one report per entry of ``sizes``.
+        """Latency of the MVAPICH-style default under the raw layout.
 
-        Sizes are partitioned by the algorithm MVAPICH-style selection
-        picks for them; each partition is priced with a single
-        :meth:`TimingEngine.evaluate_sizes` call over a build-once
-        schedule, so routes and unit loads are computed once per
-        algorithm instead of once per size.
+        One report per entry of ``sizes``.  Sizes are partitioned by the
+        algorithm MVAPICH-style selection picks for them; each partition
+        is priced with a single :meth:`TimingEngine.evaluate_sizes` call
+        over a build-once schedule, so routes and unit loads are computed
+        once per algorithm instead of once per size.
         """
         L = np.asarray(layout, dtype=np.int64)
         p = L.size
@@ -284,20 +264,67 @@ class AllgatherEvaluator:
         hierarchical: bool = False,
         intra: str = "binomial",
     ) -> List[LatencyReport]:
-        """Batched :meth:`reordered_latency` over a size vector.
+        """Latency under topology-aware rank reordering, per size.
 
-        Reorderings are cached per (pattern, layout, mapper) exactly as in
-        the per-size path (same deterministic seeds, so results match);
-        schedules and route/unit-load pricing tables are built once per
-        algorithm partition rather than once per size.
+        Reorderings are computed once per (pattern, layout, mapper) with
+        a seed derived from that key, and cached; schedules and
+        route/unit-load pricing tables are built once per algorithm
+        partition rather than once per size.
         """
         L = np.asarray(layout, dtype=np.int64)
         strat = OrderStrategy.parse(strategy)
         sizes = list(sizes)
-        rng = _seed_for("reorder", _layout_key(L), kind, hierarchical, intra)
         if hierarchical:
+            rng = _seed_for("reorder", _layout_key(L), kind, hierarchical, intra)
             return self._hierarchical_reordered_batch(L, sizes, kind, strat, intra, rng)
-        return self._flat_reordered_batch(L, sizes, kind, strat, rng)
+        return self._flat_reordered_batch(L, sizes, kind, strat, intra)
+
+    def default_latency(
+        self,
+        layout: Sequence[int],
+        block_bytes: float,
+        hierarchical: bool = False,
+        intra: str = "binomial",
+    ) -> LatencyReport:
+        """:meth:`default_latencies` at one size."""
+        return self.default_latencies(layout, [block_bytes], hierarchical, intra)[0]
+
+    def reordered_latency(
+        self,
+        layout: Sequence[int],
+        block_bytes: float,
+        kind: str = "heuristic",
+        strategy: str = "initcomm",
+        hierarchical: bool = False,
+        intra: str = "binomial",
+    ) -> LatencyReport:
+        """:meth:`reordered_latencies` at one size."""
+        return self.reordered_latencies(
+            layout, [block_bytes], kind, strategy, hierarchical, intra
+        )[0]
+
+    def flat_reordering(
+        self,
+        layout: Sequence[int],
+        pattern: str,
+        kind: str = "heuristic",
+        intra: str = "binomial",
+    ) -> ReorderResult:
+        """The one-time reordering of ``layout`` for a flat ``pattern``.
+
+        Computed on first use with a seed derived from (layout, kind,
+        intra) and cached per (pattern, layout, mapper), since "the whole
+        rank reordering process happens only once at run-time".
+        """
+        L = np.asarray(layout, dtype=np.int64)
+        lk = _layout_key(L)
+        key = ("flat", pattern, lk, kind)
+        res: ReorderResult = self._reorder_cache.get(key)  # type: ignore[assignment]
+        if res is None:
+            rng = _seed_for("reorder", lk, kind, False, intra)
+            res = reorder_ranks(pattern, L, self.distances, kind=kind, rng=rng)
+            self._reorder_cache[key] = res
+        return res
 
     def _flat_reordered_batch(
         self,
@@ -305,7 +332,7 @@ class AllgatherEvaluator:
         sizes: List[float],
         kind: str,
         strat: OrderStrategy,
-        rng: RngLike,
+        intra: str,
     ) -> List[LatencyReport]:
         p = L.size
         out: List[Optional[LatencyReport]] = [None] * len(sizes)
@@ -325,18 +352,14 @@ class AllgatherEvaluator:
                 ):
                     needed.append(pattern)
             if needed:
+                rng = _seed_for("reorder", lk, kind, False, intra)
                 for pt, res in reorder_all(
                     L, self.distances, patterns=needed, rng=rng
                 ).items():
                     self._reorder_cache[("flat", pt, lk, kind)] = res
         for name, idxs in groups:
             alg = algs[idxs[0]]
-            pattern = pattern_of(alg)
-            key = ("flat", pattern, lk, kind)
-            res: ReorderResult = self._reorder_cache.get(key)  # type: ignore[assignment]
-            if res is None:
-                res = reorder_ranks(pattern, L, self.distances, kind=kind, rng=rng)
-                self._reorder_cache[key] = res
+            res = self.flat_reordering(L, pattern_of(alg), kind, intra)
             sub = [sizes[i] for i in idxs]
             sched = self._schedule_for(alg, p)
             batch = self.engine.evaluate_sizes(sched, res.mapping, sub)
@@ -458,7 +481,7 @@ class AllgatherEvaluator:
                     res = reorder_ranks(
                         pattern,
                         survivors,
-                        self.D,
+                        self.distances,
                         kind=kind,
                         rng=_seed_for("recover", _layout_key(survivors), kind),
                     )
@@ -477,79 +500,6 @@ class AllgatherEvaluator:
                     mapper=mapper,
                 )
         return out  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # non-hierarchical
-    # ------------------------------------------------------------------
-    def default_latency(
-        self,
-        layout: Sequence[int],
-        block_bytes: float,
-        hierarchical: bool = False,
-        intra: str = "binomial",
-    ) -> LatencyReport:
-        """Latency of the MVAPICH-style default under the raw layout."""
-        L = np.asarray(layout, dtype=np.int64)
-        p = L.size
-        if hierarchical:
-            groups = self.groups_from_layout(L)
-            alg = select_hierarchical_allgather(groups, block_bytes, intra, self.rd_threshold)
-        else:
-            alg = select_allgather(p, block_bytes, self.rd_threshold)
-        coll = self.engine.evaluate(alg.schedule(p), L, block_bytes).total_seconds
-        return LatencyReport(
-            seconds=coll,
-            algorithm=alg.name,
-            strategy=OrderStrategy.NONE.value,
-            collective_seconds=coll,
-        )
-
-    def reordered_latency(
-        self,
-        layout: Sequence[int],
-        block_bytes: float,
-        kind: str = "heuristic",
-        strategy: str = "initcomm",
-        hierarchical: bool = False,
-        intra: str = "binomial",
-        rng: Optional[RngLike] = None,
-    ) -> LatencyReport:
-        """Latency under topology-aware rank reordering."""
-        L = np.asarray(layout, dtype=np.int64)
-        strat = OrderStrategy.parse(strategy)
-        if rng is None:
-            rng = _seed_for("reorder", _layout_key(L), kind, hierarchical, intra)
-        if hierarchical:
-            return self._hierarchical_reordered(L, block_bytes, kind, strat, intra, rng)
-        return self._flat_reordered(L, block_bytes, kind, strat, rng)
-
-    def _flat_reordered(
-        self,
-        L: np.ndarray,
-        block_bytes: float,
-        kind: str,
-        strat: OrderStrategy,
-        rng: RngLike,
-    ) -> LatencyReport:
-        p = L.size
-        alg = select_allgather(p, block_bytes, self.rd_threshold)
-        pattern = pattern_of(alg)
-        key = ("flat", pattern, _layout_key(L), kind)
-        res: ReorderResult = self._reorder_cache.get(key)  # type: ignore[assignment]
-        if res is None:
-            res = reorder_ranks(pattern, L, self.distances, kind=kind, rng=rng)
-            self._reorder_cache[key] = res
-        coll = self.engine.evaluate(alg.schedule(p), res.mapping, block_bytes).total_seconds
-        strategy_name, restore = self._restore(strat, alg, res.reordering, block_bytes)
-        return LatencyReport(
-            seconds=coll + restore,
-            algorithm=alg.name,
-            strategy=strategy_name,
-            collective_seconds=coll,
-            restore_seconds=restore,
-            reorder_seconds=res.total_seconds,
-            mapper=res.mapper_name,
-        )
 
     # ------------------------------------------------------------------
     # hierarchical
@@ -621,42 +571,6 @@ class AllgatherEvaluator:
             M_world[s : s + m] = per_group_cores[g]
             groups_new.append(list(range(s, s + m)))
         return RankReordering(layout=L, mapping=M_world), groups_new, overhead
-
-    def _hierarchical_reordered(
-        self,
-        L: np.ndarray,
-        block_bytes: float,
-        kind: str,
-        strat: OrderStrategy,
-        intra: str,
-        rng: RngLike,
-    ) -> LatencyReport:
-        G = len(self.groups_from_layout(L))
-        leader_alg = (
-            "rd" if block_bytes < self.rd_threshold and is_power_of_two(G) else "ring"
-        )
-        leader_pattern = "recursive-doubling" if leader_alg == "rd" else "ring"
-        key = ("hier", leader_pattern, intra, self.intra_heuristic, _layout_key(L), kind)
-        cached = self._reorder_cache.get(key)
-        if cached is None:
-            cached = self._hierarchical_reordering(L, kind, intra, leader_pattern, rng)
-            self._reorder_cache[key] = cached
-        reordering, groups_new, overhead = cached  # type: ignore[misc]
-
-        alg = HierarchicalAllgather(groups_new, leader_alg=leader_alg, intra=intra)
-        coll = self.engine.evaluate(
-            alg.schedule(L.size), reordering.mapping, block_bytes
-        ).total_seconds
-        strategy_name, restore = self._restore(strat, alg, reordering, block_bytes)
-        return LatencyReport(
-            seconds=coll + restore,
-            algorithm=alg.name,
-            strategy=strategy_name,
-            collective_seconds=coll,
-            restore_seconds=restore,
-            reorder_seconds=overhead,
-            mapper=kind,
-        )
 
     # ------------------------------------------------------------------
     def improvement_pct(

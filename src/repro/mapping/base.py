@@ -199,6 +199,12 @@ class CorePool:
         self.free[self._pos[target]] = False
         return target
 
+    def execute_program(self, program: Iterator[Tuple[int, int]], M: list) -> None:
+        """Run a placement program, one :meth:`place_closest` per step."""
+        place = self.place_closest
+        for new_rank, ref_rank in program:
+            M[new_rank] = place(M[ref_rank])
+
 
 class _PoolStructure:
     """Immutable placement structure shared across pools over one core set.
@@ -301,13 +307,14 @@ class HierarchicalFreePool:
     certifies via ``supports_vectorized_placement``.
 
     Free counts per socket / node / leaf / line are O(1)-updated on every
-    :meth:`take`, so a :meth:`closest_free` query is a constant-time level
-    pick plus one boolean gather over the (sorted, cached) winning
+    placement, so each step of :meth:`execute_program` is a constant-time
+    level pick plus one boolean gather over the (sorted, cached) winning
     annulus.  Candidate enumeration order equals the masked-argmin order
     of :class:`CorePool` (ascending pool position) and the rng is
     consumed identically — one draw per query in ``"random"`` mode, none
     in ``"first"`` mode — so placements are bit-identical to the
-    reference executor.
+    reference executor.  The pool has no per-query API: ``CorePool`` is
+    the per-query oracle.
     """
 
     #: member lists at or below this size are scanned in pure Python;
@@ -336,13 +343,10 @@ class HierarchicalFreePool:
                 "strictly increasing ladder (ImplicitDistances.supports_vectorized_"
                 "placement); pass the dense matrix to CorePool instead"
             )
-        self.D = backend
         st = self._structure_for(backend, cores)
-        self._st = st
         self.cores = st.cores
         self.rng = make_rng(rng)
         self._randint = self.rng.integers
-        self.tie_break = tie_break
         self._first = tie_break == "first"
         n = len(st.cores_l)
         self._free_np = np.ones(n, dtype=bool)
@@ -408,28 +412,9 @@ class HierarchicalFreePool:
         return gsock, node, leaf, leaf % self._nlines
 
     @property
-    def free(self) -> np.ndarray:
-        """Free mask over pool positions (synced on access)."""
-        dirty = self._dirty
-        if dirty:
-            free_np = self._free_np
-            if len(dirty) < 16:
-                # a scalar store beats list->array conversion at this size
-                for i in dirty:
-                    free_np[i] = False
-            else:
-                free_np[dirty] = False
-            dirty.clear()
-        return self._free_np
-
-    @property
     def n_free(self) -> int:
         """Number of cores still unassigned."""
         return self._total_free
-
-    def is_free(self, core: int) -> bool:
-        """True iff ``core`` has not been assigned yet."""
-        return bool(self._free_l[self._pos[int(core)]])
 
     def take(self, core: int) -> None:
         """Mark ``core`` as assigned (O(1) group-count updates)."""
@@ -447,170 +432,25 @@ class HierarchicalFreePool:
         self._free_line[ln] -= 1
         self._total_free -= 1
 
-    # ------------------------------------------------------------------
-    def _candidates(self, ref_core: int):
-        """Ascending free pool positions nearest ``ref_core``.
-
-        The closest free cores live in the deepest hierarchy group around
-        the reference that still has one.  A level is consulted only when
-        every deeper group's free count is zero, so the free members of
-        the group *are* the free members of its annulus — no set
-        subtraction is ever needed, and candidate order (ascending pool
-        position) matches :class:`CorePool`'s masked-argmin order.
-        """
-        pos = self._pos.get(ref_core)
-        if pos is not None:
-            if self._free_l[pos]:
-                # The reference itself is free: distance 0 beats every level.
-                return [pos]
-            gs, nd, lf, ln = self._keys_l[pos]
-        else:
-            gs, nd, lf, ln = self._coords_of(ref_core)
-        if self._free_sock[gs] > 0:
-            members = self._by_sock[gs]
-        elif self._free_node[nd] > 0:
-            members = self._by_node[nd]
-        elif self._free_leaf[lf] > 0:
-            members = self._by_leaf[lf]
-        elif self._free_line[ln] > 0:
-            members = self._by_line[ln]
-        else:
-            members = self._all_positions
-        if len(members) <= self._SCAN_THRESHOLD:
-            free_l = self._free_l
-            return [m for m in members if free_l[m]]
-        # Large group: numpy gather over a lazily-built member array.
-        key = id(members)
-        arr = self._np_members.get(key)
-        if arr is None:
-            arr = np.asarray(members, dtype=np.int64)
-            self._np_members[key] = arr
-        return arr[self.free[arr]]
-
-    def closest_free(self, ref_core: int) -> int:
-        """Free core nearest ``ref_core``; bit-identical to :class:`CorePool`.
-
-        Raises
-        ------
-        PoolExhaustedError
-            Every pool core is already assigned.
-        """
-        if self._total_free == 0:
-            raise PoolExhaustedError(
-                f"no free cores left in the pool ({self.cores.size} cores, all taken); "
-                f"cannot place another process near core {int(ref_core)}"
-            )
-        candidates = self._candidates(int(ref_core))
-        if self.tie_break == "first":
-            # First free member in ascending pool position == masked argmin.
-            return self._cores_l[int(candidates[0])]
-        # CorePool draws unconditionally even for one candidate, but
-        # integers(1) consumes no rng state, so the single-candidate draw
-        # is skipped without diverging from its stream.
-        n = len(candidates)
-        if n == 1:
-            return self._cores_l[int(candidates[0])]
-        return self._cores_l[int(candidates[self.rng.integers(n)])]
-
-    def place_closest(self, ref_core: int) -> int:
-        """Fused :meth:`closest_free` + :meth:`take` (the executor hot path).
-
-        One Python call per placement: level pick, candidate gather,
-        tie-break and the O(1) free-count updates, with no revalidation
-        (the pick is free by construction).
-
-        Raises
-        ------
-        PoolExhaustedError
-            Every pool core is already assigned.
-        """
-        if self._total_free == 0:
-            raise PoolExhaustedError(
-                f"no free cores left in the pool ({self.cores.size} cores, all taken); "
-                f"cannot place another process near core {int(ref_core)}"
-            )
-        # The body inlines :meth:`_candidates` — at one call per placement
-        # the call overhead itself is measurable at p=4096.
-        ref_core = int(ref_core)
-        free_l = self._free_l
-        first = self._first
-        pos = self._pos.get(ref_core)
-        if pos is not None and free_l[pos]:
-            # The reference itself is free: distance 0 beats every level.
-            # CorePool draws integers(1) here, but that consumes no state
-            # (mask 0 -> no bits drawn), so skipping the call keeps the
-            # streams aligned; the identity tests guard this invariant.
-            pick = pos
-        else:
-            if pos is not None:
-                gs, nd, lf, ln = self._keys_l[pos]
-            else:
-                node = ref_core // self._cpn
-                gs = node * self._nspn + (ref_core % self._cpn) // self._cps
-                nd, lf = node, node // self._npl
-                ln = lf % self._nlines
-            if (k := self._free_sock[gs]) > 0:
-                members = self._by_sock[gs]
-            elif (k := self._free_node[nd]) > 0:
-                members = self._by_node[nd]
-            elif (k := self._free_leaf[lf]) > 0:
-                members = self._by_leaf[lf]
-            elif (k := self._free_line[ln]) > 0:
-                members = self._by_line[ln]
-            else:
-                members = self._all_positions
-                k = self._total_free
-            # ``k`` — the group's free count — equals the number of
-            # candidates CorePool enumerates, so the rng draw can happen
-            # without materialising them.  ``k == 1`` skips the draw:
-            # integers(1) consumes no rng state, so the streams stay
-            # aligned with CorePool's unconditional draw.
-            if len(members) <= self._SCAN_THRESHOLD:
-                candidates = [m for m in members if free_l[m]]
-                pick = candidates[0] if first or k == 1 else candidates[self._randint(k)]
-            else:
-                dirty = self._dirty
-                free_np = self._free_np
-                if dirty:
-                    if len(dirty) < 16:
-                        for i in dirty:
-                            free_np[i] = False
-                    else:
-                        free_np[dirty] = False
-                    dirty.clear()
-                key = id(members)
-                snap = self._free_snap.get(key)
-                if snap is None:
-                    arr = self._np_members.get(key)
-                    if arr is None:
-                        arr = np.asarray(members, dtype=np.int64)
-                        self._np_members[key] = arr
-                    snap = arr[free_np[arr]]
-                else:
-                    snap = snap[free_np[snap]]
-                self._free_snap[key] = snap
-                # snap holds exactly the k free members, ascending.
-                pick = snap[0] if first or k == 1 else snap[self._randint(k)]
-            pick = int(pick)
-        free_l[pick] = False
-        self._dirty.append(pick)
-        gs, nd, lf, ln = self._keys_l[pick]
-        self._free_sock[gs] -= 1
-        self._free_node[nd] -= 1
-        self._free_leaf[lf] -= 1
-        self._free_line[ln] -= 1
-        self._total_free -= 1
-        return self._cores_l[pick]
-
     def execute_program(self, program: Iterator[Tuple[int, int]], M: list) -> None:
         """Run a whole placement program in one tight loop.
 
         Semantically ``for new_rank, ref_rank in program: M[new_rank] =
-        self.place_closest(M[ref_rank])`` — but with every hot attribute
-        hoisted into a local, which removes ~40% of the per-placement
-        interpreter overhead at p=4096.  :meth:`place_closest` is the
-        per-query reference for this body; keep the two in lockstep (the
-        naive-vs-vectorised identity tests cover both paths).
+        pool.place_closest(M[ref_rank])`` on a :class:`CorePool` over the
+        same cores and rng — the differential tests walk the same programs
+        on both — but with every hot attribute hoisted into a local, which
+        removes ~40% of the per-placement interpreter overhead at p=4096.
+
+        The closest free cores live in the deepest hierarchy group around
+        the reference that still has one.  A level is consulted only when
+        every deeper group's free count is zero, so the free members of
+        the group *are* the free members of its annulus, and its free
+        count ``k`` is the number of candidates ``CorePool`` enumerates.
+
+        Raises
+        ------
+        PoolExhaustedError
+            The program places more ranks than the pool has free cores.
         """
         pos_d = self._pos
         free_l = self._free_l
@@ -639,8 +479,10 @@ class HierarchicalFreePool:
                 ref_core = M[ref_rank]
                 pos = pos_d.get(ref_core)
                 if pos is not None and free_l[pos]:
-                    # integers(1) consumes no rng state -> skip (see
-                    # place_closest)
+                    # The reference itself is free: distance 0 beats every
+                    # level.  CorePool draws integers(1) here, but that
+                    # consumes no rng state, so skipping it keeps the
+                    # streams aligned (as does the k == 1 skip below).
                     pick = pos
                 else:
                     if pos is not None:
@@ -715,21 +557,6 @@ class Mapper(ABC):
     def map(self, layout: Sequence[int], D, rng: RngLike = 0) -> np.ndarray:
         """Compute the mapping array ``M``."""
 
-    # ------------------------------------------------------------------
-    # shared plumbing for subclasses
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _setup(layout: Sequence[int], D, rng: RngLike, tie_break: str):
-        """Common Algorithm-1 initialisation: fix rank 0, open the pool."""
-        L = np.asarray(layout, dtype=np.int64)
-        if L.size < 1:
-            raise ValueError("empty layout")
-        M = np.full(L.size, -1, dtype=np.int64)
-        M[0] = L[0]
-        pool = CorePool(D, L, rng=rng, tie_break=tie_break)
-        pool.take(int(L[0]))
-        return L, M, pool
-
     @staticmethod
     def _finish(M: np.ndarray, layout: np.ndarray) -> np.ndarray:
         """Validate the result is a complete mapping over the same cores."""
@@ -789,13 +616,7 @@ class GreedyPlacementMapper(Mapper):
         M = [-1] * L.size
         M[0] = int(L[0])
         pool.take(M[0])
-        run = getattr(pool, "execute_program", None)
-        if run is not None:
-            run(self.placements(L.size), M)
-        else:
-            place = pool.place_closest
-            for new_rank, ref_rank in self.placements(L.size):
-                M[new_rank] = place(M[ref_rank])
+        pool.execute_program(self.placements(L.size), M)
         return self._finish(np.asarray(M, dtype=np.int64), L)
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "ReorderResult",
     "reorder_ranks",
     "reorder_all",
+    "cache_hit",
 ]
 
 #: The paper's fine-tuned heuristic for each communication pattern.
@@ -88,6 +89,64 @@ def _cache_for(cache) -> "MappingCache | None":
     raise ValueError(f"cache must be 'auto', 'off', or a MappingCache, got {cache!r}")
 
 
+def _fingerprint_of(D) -> "str | None":
+    """The topology fingerprint a distance backend carries, if any."""
+    fp = getattr(D, "fingerprint", None)
+    if callable(fp):  # ClusterTopology-style callable fingerprints
+        fp = fp()
+    return fp if isinstance(fp, str) else None
+
+
+def cache_hit(cache_obj: MappingCache, key: str, layout: np.ndarray):
+    """Decode a mapping-cache entry for ``layout``: ``(fields, mapping)`` or None.
+
+    ``fields`` holds the recorded ``mapper_name``, ``map_seconds`` and
+    ``graph_seconds``.  ``mapping`` is the cache's own read-only int64
+    view: copy it before it reaches a caller that may mutate it.  A hit
+    recorded for another layout counts as a miss.
+    """
+    hit = cache_obj.get_arrays(key)
+    if hit is None or not np.array_equal(hit[1], layout):
+        return None
+    entry, _, mapping = hit
+    fields = {
+        "mapper_name": entry.get("mapper_name", "mapper"),
+        "map_seconds": float(entry.get("map_seconds", 0.0)),
+        "graph_seconds": float(entry.get("graph_seconds", 0.0)),
+    }
+    return fields, mapping
+
+
+def _cached_result(cache_obj: MappingCache, key: str, L: np.ndarray, pattern: str):
+    """:func:`cache_hit` as a :class:`ReorderResult`, or None."""
+    hit = cache_hit(cache_obj, key, L)
+    if hit is None:
+        return None
+    fields, mapping = hit
+    return ReorderResult(
+        reordering=RankReordering(layout=L, mapping=mapping.copy()),
+        pattern=pattern,
+        cached=True,
+        **fields,
+    )
+
+
+def _put_result(cache_obj: MappingCache, key: str, kind: str, res: ReorderResult) -> None:
+    """Store a freshly computed reordering under ``key``."""
+    cache_obj.put(
+        key,
+        {
+            "mapping": res.mapping.tolist(),
+            "layout": res.reordering.layout.tolist(),
+            "pattern": res.pattern,
+            "kind": kind,
+            "mapper_name": res.mapper_name,
+            "map_seconds": res.map_seconds,
+            "graph_seconds": res.graph_seconds,
+        },
+    )
+
+
 def reorder_ranks(
     pattern: str,
     layout: Sequence[int],
@@ -132,26 +191,12 @@ def reorder_ranks(
     cache_obj = _cache_for(cache)
     key = None
     if cache_obj is not None:
-        fp = getattr(D, "fingerprint", None)
-        if callable(fp):  # ClusterTopology-style callable fingerprints
-            fp = fp()
-        if isinstance(fp, str) and isinstance(rng, (int, np.integer)):
+        fp = _fingerprint_of(D)
+        if fp is not None and isinstance(rng, (int, np.integer)):
             key = mapping_cache_key(fp, pattern, kind, L, int(rng), mapper_kwargs)
-            hit = cache_obj.get_arrays(key)
-            if hit is not None:
-                entry, cached_layout, cached_mapping = hit
-                if np.array_equal(cached_layout, L):
-                    return ReorderResult(
-                        reordering=RankReordering(
-                            # Copy: the arrays are the cache's own views.
-                            layout=L, mapping=cached_mapping.copy()
-                        ),
-                        pattern=pattern,
-                        mapper_name=entry.get("mapper_name", "mapper"),
-                        map_seconds=float(entry.get("map_seconds", 0.0)),
-                        graph_seconds=float(entry.get("graph_seconds", 0.0)),
-                        cached=True,
-                    )
+            res = _cached_result(cache_obj, key, L, pattern)
+            if res is not None:
+                return res
 
     graph_seconds = 0.0
     if kind == "heuristic":
@@ -175,27 +220,16 @@ def reorder_ranks(
     M = mapper.map(L, D, rng=rng)
     map_seconds = time.perf_counter() - t0
 
-    if key is not None:
-        cache_obj.put(
-            key,
-            {
-                "mapping": M.tolist(),
-                "layout": L.tolist(),
-                "pattern": pattern,
-                "kind": kind,
-                "mapper_name": mapper.name,
-                "map_seconds": map_seconds,
-                "graph_seconds": graph_seconds,
-            },
-        )
-
-    return ReorderResult(
+    res = ReorderResult(
         reordering=RankReordering(layout=L, mapping=M),
         pattern=pattern,
         mapper_name=mapper.name,
         map_seconds=map_seconds,
         graph_seconds=graph_seconds,
     )
+    if key is not None:
+        _put_result(cache_obj, key, kind, res)
+    return res
 
 
 def reorder_all(
@@ -258,33 +292,16 @@ def reorder_all(
     cache_obj = _cache_for(cache)
     keys: Dict[str, object] = {}
     results: Dict[str, ReorderResult] = {}
-    if cache_obj is not None:
-        fp = getattr(D, "fingerprint", None)
-        if callable(fp):
-            fp = fp()
-        if isinstance(fp, str):
-            for pt in patterns:
-                if not isinstance(rng_of[pt], (int, np.integer)):
-                    continue  # live Generators bypass the cache
-                key = mapping_cache_key(
-                    fp, pt, "heuristic", L, int(rng_of[pt]), mapper_kwargs
-                )
-                keys[pt] = key
-                hit = cache_obj.get_arrays(key)
-                if hit is not None:
-                    entry, cached_layout, cached_mapping = hit
-                    if not np.array_equal(cached_layout, L):
-                        continue
-                    results[pt] = ReorderResult(
-                        reordering=RankReordering(
-                            layout=L, mapping=cached_mapping.copy()
-                        ),
-                        pattern=pt,
-                        mapper_name=entry.get("mapper_name", "mapper"),
-                        map_seconds=float(entry.get("map_seconds", 0.0)),
-                        graph_seconds=float(entry.get("graph_seconds", 0.0)),
-                        cached=True,
-                    )
+    fp = _fingerprint_of(D) if cache_obj is not None else None
+    if fp is not None:
+        for pt in patterns:
+            if not isinstance(rng_of[pt], (int, np.integer)):
+                continue  # live Generators bypass the cache
+            key = mapping_cache_key(fp, pt, "heuristic", L, int(rng_of[pt]), mapper_kwargs)
+            keys[pt] = key
+            res = _cached_result(cache_obj, key, L, pt)
+            if res is not None:
+                results[pt] = res
 
     # --- batched mapping of the misses --------------------------------
     misses = [pt for pt in patterns if pt not in results]
@@ -295,26 +312,13 @@ def reorder_all(
             mappers, L, D, [rng_of[pt] for pt in misses], seconds_out=seconds
         )
         for pt, mapper, M, secs in zip(misses, mappers, mappings, seconds):
-            key = keys.get(pt)
-            if key is not None:
-                cache_obj.put(
-                    key,
-                    {
-                        "mapping": M.tolist(),
-                        "layout": L.tolist(),
-                        "pattern": pt,
-                        "kind": "heuristic",
-                        "mapper_name": mapper.name,
-                        "map_seconds": secs,
-                        "graph_seconds": 0.0,
-                    },
-                )
             results[pt] = ReorderResult(
                 reordering=RankReordering(layout=L, mapping=M),
                 pattern=pt,
                 mapper_name=mapper.name,
                 map_seconds=secs,
-                graph_seconds=0.0,
             )
+            if pt in keys:
+                _put_result(cache_obj, keys[pt], "heuristic", results[pt])
 
     return {pt: results[pt] for pt in patterns}

@@ -26,6 +26,7 @@ from repro.mapping.reorder import (
     HEURISTICS,
     MAPPER_KINDS,
     ReorderResult,
+    cache_hit,
     reorder_all,
     reorder_ranks,
 )
@@ -228,21 +229,17 @@ class ReorderService:
         if probe is None:
             return None
         entry, L, key = probe
-        hit = self.registry.mapping_cache.get_arrays(key)
+        hit = cache_hit(self.registry.mapping_cache, key, L)
         if hit is None:
             # Rare: evicted between peek and get, or disk-tier only.
             return None
-        cached, cached_layout, cached_mapping = hit
-        if not np.array_equal(cached_layout, L):
-            return None
+        fields, mapping = hit
         self.warm_inline += 1
         return {
             "pattern": payload.get("pattern"),
-            "mapper_name": cached.get("mapper_name", "mapper"),
-            "mapping": cached_mapping.tolist(),
+            "mapping": mapping.tolist(),
             "cached": True,
-            "map_seconds": float(cached.get("map_seconds", 0.0)),
-            "graph_seconds": float(cached.get("graph_seconds", 0.0)),
+            **fields,
         }
 
     def reorder_batch(

@@ -40,6 +40,29 @@ class TestEquivalence:
             assert b.tuned_us == pytest.approx(a.tuned_us, rel=1e-9)
 
 
+    def test_oracle_prices_without_the_evaluator(self, mid_cluster, monkeypatch):
+        """The oracle calls no evaluator latency method, so it checks the
+        batched path instead of re-running it; scotch and endShfl included."""
+        grid = dict(SMALL, mappers=["heuristic", "scotch"])
+        batched = _sweep(
+            AllgatherEvaluator(mid_cluster, rng=0), 64, grid["layouts"], grid["sizes"],
+            grid["mappers"], grid["strategies"], False, "binomial",
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must price points itself")
+
+        for name in (
+            "default_latency", "reordered_latency", "default_latencies",
+            "reordered_latencies", "_restore_sizes",
+        ):
+            monkeypatch.setattr(AllgatherEvaluator, name, forbidden)
+        naive = naive_sweep(AllgatherEvaluator(mid_cluster, rng=0), 64, **grid)
+        assert [(a.algorithm, a.base_us, a.tuned_us) for a in naive] == [
+            (b.algorithm, b.base_us, b.tuned_us) for b in batched
+        ]
+
+
 class TestRunPerf:
     def test_quick_report_and_json(self, tmp_path):
         out = tmp_path / "bench.json"

@@ -65,6 +65,17 @@ class TestLatency:
         b = ev.reordered_latency(L, 4096)
         assert a.seconds == b.seconds
 
+    def test_seed_independent_of_call_order(self, mid_cluster):
+        """No ``rng=`` parameter: the seed derives from the cache key, so
+        a fresh evaluator reaches the same reordering."""
+        L = cyclic_scatter(mid_cluster, 64)
+        a = BcastEvaluator(mid_cluster, rng=0)
+        a.reordered_latency(L, 1 << 21, "heuristic")
+        b = BcastEvaluator(mid_cluster, rng=1)
+        assert a.reordered_latency(L, 4096).seconds == b.reordered_latency(L, 4096).seconds
+        with pytest.raises(TypeError):
+            a.reordered_latency(L, 4096, "heuristic", rng=2)
+
     def test_scotch_kind_supported(self, evaluator, mid_cluster):
         L = cyclic_scatter(mid_cluster, 64)
         rep = evaluator.reordered_latency(L, 4096, "scotch")

@@ -1,5 +1,7 @@
 """AllgatherEvaluator tests — the §VI measurement pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,47 @@ class TestHierarchicalReordered:
             nodes = set(int(mid_cluster.node_of(ro.mapping[r])) for r in g)
             assert len(nodes) == 1
         assert overhead > 0
+
+
+class TestPerSizeIsOneSizeBatch:
+    """``*_latency`` is the one-size view of ``*_latencies``: the same
+    report whether a size is priced alone or inside a larger batch."""
+
+    SIZES = [64, 256, 4096, 1 << 16]
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    @pytest.mark.parametrize("strategy", ["initcomm", "endshfl"])
+    @pytest.mark.parametrize("kind", ["heuristic", "scotch"])
+    def test_reordered_field_for_field(self, mid_cluster, hierarchical, strategy, kind):
+        L = make_layout("cyclic-scatter", mid_cluster, 64)
+        ev = AllgatherEvaluator(mid_cluster, rng=0)
+        batch = ev.reordered_latencies(L, self.SIZES, kind, strategy, hierarchical, "binomial")
+        for bb, rep in zip(self.SIZES, batch):
+            assert ev.reordered_latency(
+                L, bb, kind, strategy, hierarchical, "binomial"
+            ) == rep
+        # a cold evaluator priced one size at a time reaches the same
+        # reorderings (reorder_seconds is wall clock: not compared)
+        cold = AllgatherEvaluator(mid_cluster, rng=0)
+        for bb, rep in zip(self.SIZES, batch):
+            one = cold.reordered_latency(L, bb, kind, strategy, hierarchical, "binomial")
+            assert replace(one, reorder_seconds=rep.reorder_seconds) == rep
+
+    @pytest.mark.parametrize("hierarchical", [False, True])
+    def test_default_field_for_field(self, mid_cluster, hierarchical):
+        L = make_layout("cyclic-scatter", mid_cluster, 64)
+        ev = AllgatherEvaluator(mid_cluster, rng=0)
+        batch = ev.default_latencies(L, self.SIZES, hierarchical, "binomial")
+        cold = AllgatherEvaluator(mid_cluster, rng=0)
+        for bb, rep in zip(self.SIZES, batch):
+            assert ev.default_latency(L, bb, hierarchical, "binomial") == rep
+            assert cold.default_latency(L, bb, hierarchical, "binomial") == rep
+
+    def test_no_rng_parameter(self, evaluator, mid_cluster):
+        """The reordering seed derives from the cache key alone."""
+        L = block_bunch(mid_cluster, 64)
+        with pytest.raises(TypeError):
+            evaluator.reordered_latency(L, 256, rng=2)
 
 
 class TestGroupsFromLayout:

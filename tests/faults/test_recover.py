@@ -137,3 +137,21 @@ class TestEvaluatorRecoveryLatencies:
             L, SIZES, [3], policy="shrink-remap"
         )
         assert [x.seconds for x in a] == [y.seconds for y in b]
+
+    @pytest.mark.parametrize("kind", ["heuristic", "scotch", "greedy"])
+    def test_remap_on_implicit_backend_matches_dense(self, kind):
+        """The remap runs on the implicit distance backend; on a shrunk
+        pool it picks the mappings the dense matrix picks."""
+        from repro.faults.shrink import shrink_layout
+        from repro.mapping.reorder import reorder_ranks
+        from repro.topology.gpc import gpc_cluster
+
+        cluster = gpc_cluster(n_nodes=16)
+        L = make_layout("cyclic-scatter", cluster, 128)
+        survivors = shrink_layout(cluster, L, [3, 11])
+        D = cluster.distance_matrix()
+        impl = cluster.implicit_distances()
+        for pattern in ("ring", "bruck"):
+            dense = reorder_ranks(pattern, survivors, D, kind=kind, rng=5, cache="off")
+            implicit = reorder_ranks(pattern, survivors, impl, kind=kind, rng=5, cache="off")
+            assert np.array_equal(dense.mapping, implicit.mapping), pattern

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mapping.base import CorePool, Mapper, PoolExhaustedError
+from repro.mapping.rmh import RMH
 from repro.util.rng import make_rng
 
 
@@ -135,12 +136,11 @@ class TestCorePool:
 
 
 class TestMapperPlumbing:
-    def test_setup_fixes_rank0(self, tiny_D):
+    def test_map_fixes_rank0(self, tiny_D):
         layout = np.array([3, 1, 2, 0])
-        L, M, pool = Mapper._setup(layout, tiny_D, 0, "first")
+        M = RMH(tie_break="first").map(layout, tiny_D)
         assert M[0] == 3
-        assert not pool.is_free(3)
-        assert pool.n_free == 3
+        assert sorted(M.tolist()) == [0, 1, 2, 3]
 
     def test_finish_detects_unmapped(self, tiny_D):
         layout = np.arange(4)

@@ -152,12 +152,11 @@ class TestHierarchicalFreePool:
         pool = HierarchicalFreePool(
             mid_cluster.implicit_distances(), np.arange(4), rng=0
         )
-        for core in range(4):
-            pool.take(core)
+        M = [0, -1, -1, -1, -1]
+        pool.take(0)
         with pytest.raises(PoolExhaustedError, match="no free cores"):
-            pool.closest_free(0)
-        with pytest.raises(PoolExhaustedError):
-            pool.place_closest(0)
+            pool.execute_program(((r, 0) for r in range(1, 5)), M)
+        assert sorted(M[1:4]) == [1, 2, 3] and M[4] == -1 and pool.n_free == 0
 
     def test_exhaustion_error_matches_reference(self, mid_cluster):
         """A program placing more ranks than there are cores raises the
@@ -176,13 +175,31 @@ class TestHierarchicalFreePool:
         assert messages[0] == messages[1]
 
     def test_closest_free_matches_reference(self, mid_cluster, mid_D):
-        cores = np.arange(24)
-        a = CorePool(mid_D, cores, rng=0)
-        b = HierarchicalFreePool(mid_cluster.implicit_distances(), cores, rng=0)
-        rng = make_rng(123)
-        for _ in range(20):
-            ref = int(rng.integers(24))
-            ca, cb = a.closest_free(ref), b.closest_free(ref)
-            assert ca == cb
-            a.take(ca)
-            b.take(cb)
+        """A random ``(new_rank, ref_rank)`` program — references in any
+        order, not a heuristic's chain — run through ``execute_program``
+        picks exactly what ``CorePool.place_closest`` picks, rng stream
+        included."""
+        impl = mid_cluster.implicit_distances()
+        for tie_break in ("random", "first"):
+            for seed in (0, 7, 123):
+                rng = make_rng(seed)
+                cores = rng.permutation(mid_D.shape[0])[:40]
+                order = [0] + (1 + rng.permutation(cores.size - 1)).tolist()
+                # each rank references one placed before it
+                program = [
+                    (order[i], order[int(rng.integers(i))]) for i in range(1, cores.size)
+                ]
+                ref = CorePool(mid_D, cores, rng=seed, tie_break=tie_break)
+                M_ref = [-1] * cores.size
+                M_ref[0] = int(cores[0])
+                ref.take(M_ref[0])
+                for new_rank, ref_rank in program:
+                    M_ref[new_rank] = ref.place_closest(M_ref[ref_rank])
+                pool = HierarchicalFreePool(impl, cores, rng=seed, tie_break=tie_break)
+                M = [-1] * cores.size
+                M[0] = int(cores[0])
+                pool.take(M[0])
+                pool.execute_program(iter(program), M)
+                assert M == M_ref, (tie_break, seed)
+                # both pools drew the same number of tie-breaks
+                assert ref.rng.integers(1 << 30) == pool.rng.integers(1 << 30)

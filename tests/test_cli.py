@@ -271,3 +271,80 @@ class TestFabricCLI:
 
     def test_status_missing_dir_fails(self, tmp_path):
         assert main(["sweep", "--status", str(tmp_path / "missing")]) == 1
+
+
+class TestPerfCLI:
+    @staticmethod
+    def _stub_runners(monkeypatch, written):
+        """Replace every perf runner with one that records its output path."""
+        from types import SimpleNamespace
+
+        import repro.bench.fabricperf as fabricperf
+        import repro.bench.perf as perf
+        import repro.bench.serveperf as serveperf
+
+        def report(**fields):
+            return SimpleNamespace(summary=lambda: "stub", **fields)
+
+        def run_perf(out_path, **_):
+            written.append(out_path)
+            return report(max_rel_diff=0.0, speedup=2.0)
+
+        def run_serve_perf(out, **_):
+            written.append(out)
+            return report(mismatches=0, warm_speedup_p50=2.0)
+
+        def run_fabric_perf(out_path, **_):
+            written.append(out_path)
+            return report(mismatches=0, speedup=2.0)
+
+        def run_mapping_perf(out_path, **_):
+            written.append(out_path)
+            return report(cases=[])
+
+        monkeypatch.setattr(perf, "run_perf", run_perf)
+        monkeypatch.setattr(perf, "run_mapping_perf", run_mapping_perf)
+        monkeypatch.setattr(serveperf, "run_serve_perf", run_serve_perf)
+        monkeypatch.setattr(fabricperf, "run_fabric_perf", run_fabric_perf)
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            ([], "BENCH_sweep.json"),
+            (["--serve"], "BENCH_serve.json"),
+            (["--fabric"], "BENCH_fabric.json"),
+            (["--mappings"], "BENCH_mappings.json"),
+            (["--serve", "--out", "BENCH_sweep.json"], "BENCH_sweep.json"),
+            (["--fabric", "--out", "BENCH_sweep.json"], "BENCH_sweep.json"),
+            (["--mappings", "--out", "BENCH_sweep.json"], "BENCH_sweep.json"),
+            (["--out", "x.json"], "x.json"),
+        ],
+    )
+    def test_out_resolved_per_mode(self, monkeypatch, capsys, argv, expected):
+        written = []
+        self._stub_runners(monkeypatch, written)
+        assert main(["perf"] + argv) == 0
+        assert written == [expected]
+        assert f"measurement written to {expected}" in capsys.readouterr().out
+
+    def test_oracle_divergence_fails(self, monkeypatch, tmp_path, capsys):
+        """A batched-vs-oracle difference above 1e-9 exits 1 whatever the
+        speedup."""
+        import repro.bench.perf as perf
+
+        out = str(tmp_path / "sweep.json")
+        assert main(["perf", "--quick", "--nodes", "2", "--out", out]) == 0
+        assert "max rel. difference : 0.000e+00" in capsys.readouterr().out
+
+        from dataclasses import replace
+
+        oracle = perf.naive_sweep
+
+        def skewed(*args, **kwargs):
+            points = oracle(*args, **kwargs)
+            points[0] = replace(points[0], tuned_us=points[0].tuned_us * (1 + 1e-6))
+            return points
+
+        monkeypatch.setattr(perf, "naive_sweep", skewed)
+        assert main(["perf", "--quick", "--nodes", "2", "--out", out]) == 1
+        assert "FAIL: batched latencies differ from the oracle" in capsys.readouterr().out
