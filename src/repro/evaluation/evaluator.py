@@ -20,12 +20,16 @@ local processes separately" (paper §VI-A2): the intra-node permutation
 comes from BGMH over each node's cores (the gather phase dominates the
 intra-node gains, Fig. 4(b) commentary) and the leader permutation from
 RDMH/RMH over the leader cores; with linear intra-node phases there is no
-intra-node pattern to optimise and only leaders are reordered.
+intra-node pattern to optimise and only leaders are reordered.  The
+intra-node layer is computed once per layout and shared by both leader
+patterns; each reported overhead is still that of one full computation.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -83,6 +87,21 @@ class LatencyReport:
             f"{self.algorithm} [{self.mapper}/{self.strategy}] "
             f"{self.seconds * 1e6:.1f} us"
         )
+
+
+@dataclass(frozen=True)
+class _IntraLayer:
+    """The intra-node half of a hierarchical reordering (see
+    :meth:`AllgatherEvaluator._intra_layer`).
+
+    ``cores[g]`` is old group ``g``'s cores in new-rank order, ``seconds``
+    the layer's measured mapping cost and ``rng`` the generator state the
+    layer left behind; it is never advanced, only copied.
+    """
+
+    cores: List[np.ndarray]
+    seconds: float
+    rng: np.random.Generator
 
 
 def _layout_key(layout: np.ndarray) -> str:
@@ -145,12 +164,10 @@ class AllgatherEvaluator:
         Mirrors what an MPI library's shared-memory communicator split
         produces (lowest world rank on each node becomes the leader).
         """
-        L = np.asarray(layout, dtype=np.int64)
-        nodes = self.cluster.node_of(L)
-        groups: Dict[int, List[int]] = {}
-        for rank in range(L.size):
-            groups.setdefault(int(nodes[rank]), []).append(rank)
-        return [groups[n] for n in sorted(groups)]
+        nodes = self.cluster.node_of(np.asarray(layout, dtype=np.int64))
+        order = np.argsort(nodes, kind="stable")
+        _, starts = np.unique(nodes[order], return_index=True)
+        return [g.tolist() for g in np.split(order, starts[1:])]
 
     def _restore_sizes(
         self,
@@ -186,14 +203,18 @@ class AllgatherEvaluator:
     # ------------------------------------------------------------------
     # batched (multi-size) pipeline
     # ------------------------------------------------------------------
-    def _schedule_for(self, algorithm, p: int, extra_key: Tuple = ()) -> Schedule:
+    def _schedule_for(self, algorithm, p: int) -> Schedule:
         """Build-once cache of compiled schedules.
 
-        Flat algorithms are fully determined by (name, p); hierarchical
-        ones also depend on their group structure, which callers encode in
-        ``extra_key``.
+        Flat algorithms are fully determined by (name, p); a hierarchical
+        one by its name (leader algorithm and intra phases) and its node
+        groups, which also fix p.  Layouts and reorderings that yield the
+        same groups share one schedule.
         """
-        key = (algorithm.name, p) + tuple(extra_key)
+        if isinstance(algorithm, HierarchicalAllgather):
+            key: Tuple = (algorithm.name, tuple(map(tuple, algorithm.groups)))
+        else:
+            key = (algorithm.name, p)
         sched = self._schedule_cache.get(key)
         if sched is None:
             sched = algorithm.schedule(p)
@@ -237,13 +258,11 @@ class AllgatherEvaluator:
                 select_hierarchical_allgather(groups, bb, intra, self.rd_threshold)
                 for bb in sizes
             ]
-            extra_key = (_layout_key(L), "default")
         else:
             algs = [select_allgather(p, bb, self.rd_threshold) for bb in sizes]
-            extra_key = ()
         for name, idxs in self._group_sizes([a.name for a in algs]):
             alg = algs[idxs[0]]
-            sched = self._schedule_for(alg, p, extra_key)
+            sched = self._schedule_for(alg, p)
             batch = self.engine.evaluate_sizes(sched, L, [sizes[i] for i in idxs])
             for j, i in enumerate(idxs):
                 coll = float(batch.total_seconds[j])
@@ -313,12 +332,14 @@ class AllgatherEvaluator:
         """The one-time reordering of ``layout`` for a flat ``pattern``.
 
         Computed on first use with a seed derived from (layout, kind,
-        intra) and cached per (pattern, layout, mapper), since "the whole
-        rank reordering process happens only once at run-time".
+        intra) and cached per (pattern, layout, mapper, intra), since "the
+        whole rank reordering process happens only once at run-time".  The
+        key carries ``intra`` because the seed does: without it the mapping
+        would depend on which ``intra`` asked first.
         """
         L = np.asarray(layout, dtype=np.int64)
         lk = _layout_key(L)
-        key = ("flat", pattern, lk, kind)
+        key = ("flat", pattern, lk, kind, intra)
         res: ReorderResult = self._reorder_cache.get(key)  # type: ignore[assignment]
         if res is None:
             rng = _seed_for("reorder", lk, kind, False, intra)
@@ -347,7 +368,7 @@ class AllgatherEvaluator:
             for name, idxs in groups:
                 pattern = pattern_of(algs[idxs[0]])
                 if (
-                    ("flat", pattern, lk, kind) not in self._reorder_cache
+                    ("flat", pattern, lk, kind, intra) not in self._reorder_cache
                     and pattern not in needed
                 ):
                     needed.append(pattern)
@@ -356,7 +377,7 @@ class AllgatherEvaluator:
                 for pt, res in reorder_all(
                     L, self.distances, patterns=needed, rng=rng
                 ).items():
-                    self._reorder_cache[("flat", pt, lk, kind)] = res
+                    self._reorder_cache[("flat", pt, lk, kind, intra)] = res
         for name, idxs in groups:
             alg = algs[idxs[0]]
             res = self.flat_reordering(L, pattern_of(alg), kind, intra)
@@ -386,7 +407,7 @@ class AllgatherEvaluator:
         kind: str,
         strat: OrderStrategy,
         intra: str,
-        rng: RngLike,
+        rng: int,
     ) -> List[LatencyReport]:
         G = len(self.groups_from_layout(L))
         out: List[Optional[LatencyReport]] = [None] * len(sizes)
@@ -407,9 +428,7 @@ class AllgatherEvaluator:
 
             alg = HierarchicalAllgather(groups_new, leader_alg=leader_alg, intra=intra)
             sub = [sizes[i] for i in idxs]
-            sched = self._schedule_for(
-                alg, L.size, (_layout_key(L), kind, self.intra_heuristic)
-            )
+            sched = self._schedule_for(alg, L.size)
             batch = self.engine.evaluate_sizes(sched, reordering.mapping, sub)
             strategy_name, restores = self._restore_sizes(strat, alg, reordering, sub)
             for j, i in enumerate(idxs):
@@ -504,7 +523,7 @@ class AllgatherEvaluator:
     # ------------------------------------------------------------------
     # hierarchical
     # ------------------------------------------------------------------
-    def _intra_mapper(self, kind: str, m: int) -> Optional[Mapper]:
+    def _intra_mapper(self, kind: str, m: int) -> Mapper:
         """Mapper for one node's binomial gather/bcast pattern.
 
         One intra-node permutation serves both tree phases (they share
@@ -520,39 +539,92 @@ class AllgatherEvaluator:
         graph = build_pattern("binomial-gather", m)
         return ScotchLikeMapper(graph) if kind == "scotch" else GreedyGraphMapper(graph)
 
+    def _intra_map(
+        self, kind: str, cores_g: np.ndarray, rng: np.random.Generator
+    ) -> Tuple[np.ndarray, float]:
+        """One node's intra-node map and the seconds it is charged.
+
+        The Scotch-like mapper reads no rng, so its output, as positions
+        into ``cores_g``, is a function of the distance submatrix among
+        ``cores_g`` alone.  It is memoised on the exact bytes of that
+        float32 submatrix (taken from ``self.distances``, so custom or
+        collapsed weights key correctly), and a hit is charged the seconds
+        of the map it reuses.  Mappers that break ties through ``rng`` are
+        never memoised.
+        """
+        if kind != "scotch":
+            mapper = self._intra_mapper(kind, cores_g.size)
+            t0 = time.perf_counter()
+            M_g = mapper.map(cores_g, self.distances, rng=rng)
+            return np.asarray(M_g, dtype=np.int64), time.perf_counter() - t0
+        sub = np.ascontiguousarray(
+            self.distances[cores_g[:, None], cores_g[None, :]], dtype=np.float32
+        )
+        key = ("scotch-intra", sub.tobytes())
+        hit = self._reorder_cache.get(key)
+        if hit is None:
+            mapper = self._intra_mapper(kind, cores_g.size)
+            t0 = time.perf_counter()
+            pos = mapper.map(np.arange(cores_g.size, dtype=np.int64), sub)
+            hit = (pos, time.perf_counter() - t0)
+            self._reorder_cache[key] = hit
+        pos, seconds = hit  # type: ignore[misc]
+        return cores_g[pos], seconds
+
+    def _intra_layer(self, L: np.ndarray, kind: str, intra: str, rng: int) -> _IntraLayer:
+        """The intra-node half of a hierarchical reordering, computed once.
+
+        Both leader patterns (rd and ring) start from the same seed, so
+        they share this prefix of the rng stream: the per-node maps, their
+        measured cost and the generator state reached after them are
+        cached per (layout, mapper, intra, seed).
+        """
+        key = ("intra", _layout_key(L), kind, intra, self.intra_heuristic, rng)
+        layer = self._reorder_cache.get(key)
+        if layer is None:
+            generator = make_rng(rng)
+            cores: List[np.ndarray] = []
+            seconds = 0.0
+            for g in self.groups_from_layout(L):
+                cores_g = L[np.asarray(g, dtype=np.int64)]
+                # A linear phase has no pattern to optimise (paper
+                # Fig. 4(c,d) commentary): the node keeps its order.
+                if intra == "binomial" and len(g) > 1:
+                    M_g, dt = self._intra_map(kind, cores_g, generator)
+                    seconds += dt
+                else:
+                    M_g = cores_g.copy()
+                cores.append(M_g)
+            layer = _IntraLayer(cores=cores, seconds=seconds, rng=generator)
+            self._reorder_cache[key] = layer
+        return layer  # type: ignore[return-value]
+
     def _hierarchical_reordering(
-        self, L: np.ndarray, kind: str, intra: str, leader_pattern: str, rng: RngLike
+        self, L: np.ndarray, kind: str, intra: str, leader_pattern: str, rng: int
     ) -> Tuple[RankReordering, List[List[int]], float]:
         """Compose intra-node + leader reorderings into one world mapping.
 
         Returns the world reordering, the *new-rank* groups the schedule
-        is built over, and the total mapping overhead in seconds.
+        is built over, and the mapping overhead in seconds: the intra
+        layer's cost plus this leader map, as if computed from scratch.
         """
-        groups_old = self.groups_from_layout(L)
-        G = len(groups_old)
-        rng = make_rng(rng)
-        overhead = 0.0
+        layer = self._intra_layer(L, kind, intra, rng)
+        per_group_cores = layer.cores
+        G = len(per_group_cores)
+        overhead = layer.seconds
 
-        # Intra-node reordering (binomial phases only; a linear phase has
-        # no pattern to optimise, paper Fig. 4(c,d) commentary).
-        import time as _time
-
-        per_group_cores: List[np.ndarray] = []
-        for g in groups_old:
-            cores_g = L[np.asarray(g, dtype=np.int64)]
-            if intra == "binomial" and len(g) > 1:
-                mapper = self._intra_mapper(kind, len(g))
-                t0 = _time.perf_counter()
-                M_g = mapper.map(cores_g, self.distances, rng=rng)
-                overhead += _time.perf_counter() - t0
-            else:
-                M_g = cores_g.copy()
-            per_group_cores.append(np.asarray(M_g, dtype=np.int64))
-
-        # Leader-level reordering over the (possibly new) leader cores.
+        # Leader-level reordering over the (possibly new) leader cores, on
+        # a copy of the generator so each leader pattern sees the stream
+        # exactly where the intra layer left it.
         leader_cores = np.array([mg[0] for mg in per_group_cores], dtype=np.int64)
         if G > 1:
-            res = reorder_ranks(leader_pattern, leader_cores, self.distances, kind=kind, rng=rng)
+            res = reorder_ranks(
+                leader_pattern,
+                leader_cores,
+                self.distances,
+                kind=kind,
+                rng=copy.deepcopy(layer.rng),
+            )
             overhead += res.total_seconds
             # node_perm[j] = which original group acts as leader-rank j
             pos = {int(c): g for g, c in enumerate(leader_cores)}

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.mapping.base import Mapper, as_distance_lookup
 from repro.mapping.patterns import PatternGraph
-from repro.util.rng import RngLike, make_rng
+from repro.util.rng import RngLike
 
 __all__ = ["ScotchLikeMapper"]
 
@@ -41,6 +41,11 @@ class ScotchLikeMapper(Mapper):
         The guest communication graph (see :mod:`repro.mapping.patterns`).
     refine_passes:
         KL refinement passes per bipartition level.
+
+    The mapper is deterministic: every choice is a first-index ``argmax``
+    or a stable sort.  ``map`` accepts ``rng`` for the :class:`Mapper`
+    interface and never reads it, so its output, as positions into the
+    layout, depends only on the distances among the layout's cores.
     """
 
     pattern = "*"
@@ -59,12 +64,9 @@ class ScotchLikeMapper(Mapper):
             raise ValueError(
                 f"layout has {L.size} processes but the pattern graph has {self.graph.p}"
             )
-        generator = make_rng(rng)
         M = np.full(L.size, -1, dtype=np.int64)
         adj = self.graph.adjacency()
-        self._recurse(
-            np.arange(L.size, dtype=np.int64), L.copy(), M, adj, as_distance_lookup(D), generator
-        )
+        self._recurse(np.arange(L.size, dtype=np.int64), L.copy(), M, adj, as_distance_lookup(D))
         return self._finish(M, L)
 
     # ------------------------------------------------------------------
@@ -75,7 +77,6 @@ class ScotchLikeMapper(Mapper):
         M: np.ndarray,
         adj: List[List[Tuple[int, float]]],
         D: np.ndarray,
-        rng: np.random.Generator,
     ) -> None:
         n = ranks.size
         if n == 1:
@@ -88,9 +89,9 @@ class ScotchLikeMapper(Mapper):
             return
         n_a = n // 2
         cores_a, cores_b = self._split_cores(cores, n_a, D)
-        side = self._split_ranks(ranks, n_a, adj, rng)
-        self._recurse(ranks[~side], cores_a, M, adj, D, rng)
-        self._recurse(ranks[side], cores_b, M, adj, D, rng)
+        side = self._split_ranks(ranks, n_a, adj)
+        self._recurse(ranks[~side], cores_a, M, adj, D)
+        self._recurse(ranks[side], cores_b, M, adj, D)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -114,7 +115,6 @@ class ScotchLikeMapper(Mapper):
         ranks: np.ndarray,
         n_a: int,
         adj: List[List[Tuple[int, float]]],
-        rng: np.random.Generator,
     ) -> np.ndarray:
         """Bipartition the induced guest subgraph, minimising edge cut.
 
@@ -133,7 +133,7 @@ class ScotchLikeMapper(Mapper):
 
         side = self._grow_initial(n, n_a, ladj)
         for _ in range(self.refine_passes):
-            if not self._kl_pass(side, ladj, rng):
+            if not self._kl_pass(side, ladj):
                 break
         return side
 
@@ -164,9 +164,7 @@ class ScotchLikeMapper(Mapper):
         return side
 
     @staticmethod
-    def _kl_pass(
-        side: np.ndarray, ladj: List[List[Tuple[int, float]]], rng: np.random.Generator
-    ) -> bool:
+    def _kl_pass(side: np.ndarray, ladj: List[List[Tuple[int, float]]]) -> bool:
         """One Kernighan-Lin pairwise-swap pass; True if anything improved."""
         n = side.size
         # D(v) = external - internal incident weight.

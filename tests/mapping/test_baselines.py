@@ -8,6 +8,7 @@ from repro.mapping.initial import block_bunch, cyclic_scatter
 from repro.mapping.metrics import hop_bytes
 from repro.mapping.patterns import build_pattern
 from repro.mapping.scotch import ScotchLikeMapper
+from repro.util.rng import make_rng
 
 
 class TestScotchLike:
@@ -45,6 +46,22 @@ class TestScotchLike:
         layout = block_bunch(mid_cluster, p)
         M = ScotchLikeMapper(g).map(layout, mid_D, rng=1)
         assert sorted(M.tolist()) == sorted(layout.tolist())
+
+    @pytest.mark.parametrize("pattern", ["ring", "recursive-doubling", "binomial-gather"])
+    def test_reads_no_rng(self, pattern, mid_cluster):
+        """Output is equal across seeds and a passed generator is left
+        untouched, on the dense and the implicit backend alike (the
+        evaluator memoises intra-node maps on this)."""
+        g = build_pattern(pattern, 32)
+        layout = cyclic_scatter(mid_cluster, 32)
+        for D in (mid_cluster.distance_matrix(), mid_cluster.implicit_distances()):
+            ref = ScotchLikeMapper(g).map(layout, D, rng=0)
+            for seed in (1, 12345):
+                assert np.array_equal(ScotchLikeMapper(g).map(layout, D, rng=seed), ref)
+            gen = make_rng(7)
+            state = gen.bit_generator.state
+            assert np.array_equal(ScotchLikeMapper(g).map(layout, D, rng=gen), ref)
+            assert gen.bit_generator.state == state
 
 
 class TestGreedy:
